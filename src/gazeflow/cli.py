@@ -25,7 +25,7 @@ from .detectors import (
     cnn_detect,
     concat_outputs,
 )
-from .features import FeatureError, build_window_set
+from .features import FeatureError, build_window_set, yields_windows
 from .gaze import (
     CLASS_NAMES,
     DEFAULT_SPLIT_RATIOS,
@@ -300,10 +300,11 @@ def cmd_compare(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config, seed)
     model = load_model(args.model)
     seqs = _read_corpus(args.data_dir, require_labels=True)
-    if len(seqs) < 3:
-        raise CliError(EXIT_DATA, "compare needs at least 3 sequences to split")
+    # split the recordings a by-sequence `train` splits: those that yield a window
+    units = np.flatnonzero([yields_windows(s, cfg.frontend) for s in seqs])
+    if units.size < 3:
+        raise CliError(EXIT_DATA, "compare needs at least 3 sequences with a usable window to split")
 
-    units = np.arange(len(seqs))
     _, val_ids, test_ids = split_units(units, DEFAULT_SPLIT_RATIOS, seed)
     val_seqs = [seqs[i] for i in sorted(val_ids)]
     test_seqs = [seqs[i] for i in sorted(test_ids)]

@@ -9,10 +9,11 @@ and the prediction CSV without translation.
 
 The threshold baselines share a two-stage shape: stage 1 marks samples whose
 central-difference velocity exceeds a threshold as saccades; stage 2 runs a
-sliding window over the remaining spans (windows never cross a detected
-saccade or a tracking gap) and separates fixation from pursuit by
-dispersion, mean turning angle, or the eigenvalue ratio of the window's
-point covariance.
+sliding window over the remaining spans and separates fixation from pursuit
+by dispersion, mean turning angle, or the eigenvalue ratio of the window's
+point covariance. Stage 2 is computed for a whole sequence at once: every
+sample's window is clipped to its own span, so windows never cross a
+detected saccade or a tracking gap.
 """
 from __future__ import annotations
 
@@ -156,85 +157,57 @@ def _velocity_array(t_ms: np.ndarray, x: np.ndarray, y: np.ndarray, bad: np.ndar
 
 # ---------------------------------------------------------------------------
 # span-clipped sliding statistics
+#
+# All spans of a sequence are processed at once. The span samples are gathered
+# into one compact array in which consecutive runs sit back to back; each
+# sample carries its run id and its window [a, b] clipped to its own run, in
+# compact coordinates.
 
 
-def _runs(mask: np.ndarray) -> list[tuple[int, int]]:
-    """Maximal [lo, hi] runs of True."""
-    if mask.size == 0 or not mask.any():
-        return []
-    m = mask.astype(np.int8)
-    d = np.diff(m)
-    starts = np.flatnonzero(d == 1) + 1
-    ends = np.flatnonzero(d == -1)
-    if mask[0]:
-        starts = np.concatenate([[0], starts])
-    if mask[-1]:
-        ends = np.concatenate([ends, [mask.size - 1]])
-    return list(zip(starts.tolist(), ends.tolist()))
+def _dispersion(xs: np.ndarray, ys: np.ndarray, run_id: np.ndarray, off_l: int, off_r: int) -> np.ndarray:
+    """Per-sample (x-range + y-range) over the run-clipped window.
 
-
-def _span_dispersion(xs: np.ndarray, ys: np.ndarray, off_l: int, off_r: int) -> np.ndarray:
-    """Per-sample (x-range + y-range) over the span-clipped window."""
-    s = xs.shape[0]
+    Window slots past either end or in another run are left out of the max
+    and min, which are exact, so the result does not depend on the neighbours.
+    """
     L = off_l + off_r + 1
-    idx = np.arange(s)
-    out = np.empty(s)
+    pad_id = np.concatenate([np.full(off_l, -1), run_id, np.full(off_r, -1)])
+    same_run = sliding_window_view(pad_id, L) == run_id[:, None]
 
-    left = idx < off_l
-    if left.any():
-        pxmax = np.maximum.accumulate(xs)
-        pxmin = np.minimum.accumulate(xs)
-        pymax = np.maximum.accumulate(ys)
-        pymin = np.minimum.accumulate(ys)
-        b = np.minimum(s - 1, idx[left] + off_r)
-        out[left] = (pxmax[b] - pxmin[b]) + (pymax[b] - pymin[b])
-
-    right = ~left & (idx > s - 1 - off_r)
-    if right.any():
-        sxmax = np.maximum.accumulate(xs[::-1])[::-1]
-        sxmin = np.minimum.accumulate(xs[::-1])[::-1]
-        symax = np.maximum.accumulate(ys[::-1])[::-1]
-        symin = np.minimum.accumulate(ys[::-1])[::-1]
-        a = idx[right] - off_l
-        out[right] = (sxmax[a] - sxmin[a]) + (symax[a] - symin[a])
-
-    if s >= L:
-        wx = sliding_window_view(xs, L)
-        wy = sliding_window_view(ys, L)
-        out[off_l : s - off_r] = (wx.max(axis=1) - wx.min(axis=1)) + (
-            wy.max(axis=1) - wy.min(axis=1)
+    def window_range(v: np.ndarray) -> np.ndarray:
+        w = sliding_window_view(np.concatenate([np.zeros(off_l), v, np.zeros(off_r)]), L)
+        return w.max(axis=1, where=same_run, initial=-np.inf) - w.min(
+            axis=1, where=same_run, initial=np.inf
         )
-    return out
+
+    return window_range(xs) + window_range(ys)
 
 
-def _span_turn_angle(xs: np.ndarray, ys: np.ndarray, off_l: int, off_r: int) -> np.ndarray:
+def _turn_angle(xs: np.ndarray, ys: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Per-sample mean absolute turning angle between successive displacements.
 
-    Zero-length displacements are excluded from the mean; a window with no
-    usable displacement pair gets the maximal angle pi (fixation-like).
+    Pair j is the displacements j -> j+1 -> j+2, so the pairs of window
+    [a, b] are a..b-2 and lie inside the window's run. Zero-length
+    displacements are excluded from the mean; a window with no usable
+    displacement pair gets the maximal angle pi (fixation-like).
     """
-    s = xs.shape[0]
-    if s < 3:
-        return np.full(s, np.pi)
     dx = np.diff(xs)
     dy = np.diff(ys)
     moving = (dx != 0) | (dy != 0)
+    # no pair starts at the last two samples; the padding keeps every a, hi + 1 in range
+    valid = np.concatenate([moving[:-1] & moving[1:], [False, False]])
     dot = dx[:-1] * dx[1:] + dy[:-1] * dy[1:]
     cross = dx[:-1] * dy[1:] - dy[:-1] * dx[1:]
-    ang = np.abs(np.arctan2(cross, dot))
-    valid = moving[:-1] & moving[1:]
-    csum_ang = np.concatenate([[0.0], np.cumsum(np.where(valid, ang, 0.0))])
-    csum_cnt = np.concatenate([[0], np.cumsum(valid.astype(np.int64))])
+    ang = np.zeros(valid.shape[0])
+    ang[:-2] = np.where(valid[:-2], np.abs(np.arctan2(cross, dot)), 0.0)
+    csum_ang = np.concatenate([[0.0], np.cumsum(ang)])
+    csum_cnt = np.concatenate([[0], np.cumsum(valid, dtype=np.int64)])
 
-    idx = np.arange(s)
-    a = np.maximum(0, idx - off_l)
-    b = np.minimum(s - 1, idx + off_r)
     hi = np.maximum(b - 2, a - 1)  # last pair index in window, or a-1 when none
     total = csum_ang[hi + 1] - csum_ang[a]
     count = csum_cnt[hi + 1] - csum_cnt[a]
     with np.errstate(invalid="ignore"):
-        mean = np.where(count > 0, total / np.maximum(count, 1), np.pi)
-    return mean
+        return np.where(count > 0, total / np.maximum(count, 1), np.pi)
 
 
 def _eig2x2(vxx: np.ndarray, vxy: np.ndarray, vyy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -246,24 +219,26 @@ def _eig2x2(vxx: np.ndarray, vxy: np.ndarray, vyy: np.ndarray) -> tuple[np.ndarr
     return lam1, lam2
 
 
-def _span_eigen_ratio(xs: np.ndarray, ys: np.ndarray, off_l: int, off_r: int) -> np.ndarray:
-    """Per-sample ratio of covariance eigenvalues over the clipped window.
+def _eigen_ratio(
+    xs: np.ndarray,
+    ys: np.ndarray,
+    run_id: np.ndarray,
+    run_starts: np.ndarray,
+    a: np.ndarray,
+    b: np.ndarray,
+) -> np.ndarray:
+    """Per-sample ratio of covariance eigenvalues over the run-clipped window.
 
-    Coordinates are centered on the span mean before accumulating moments so
-    that a perfectly stationary span yields an exactly degenerate covariance.
+    Coordinates are centered on their run's mean before accumulating moments
+    so that a perfectly stationary run yields an exactly degenerate covariance.
     """
-    s = xs.shape[0]
-    xc = xs - xs.mean()
-    yc = ys - ys.mean()
-    cx = np.concatenate([[0.0], np.cumsum(xc)])
-    cy = np.concatenate([[0.0], np.cumsum(yc)])
-    cxx = np.concatenate([[0.0], np.cumsum(xc * xc)])
-    cyy = np.concatenate([[0.0], np.cumsum(yc * yc)])
-    cxy = np.concatenate([[0.0], np.cumsum(xc * yc)])
+    run_len = np.diff(np.append(run_starts, xs.shape[0]))
+    xc = xs - (np.add.reduceat(xs, run_starts) / run_len)[run_id]
+    yc = ys - (np.add.reduceat(ys, run_starts) / run_len)[run_id]
+    cx, cy, cxx, cyy, cxy = (
+        np.concatenate([[0.0], np.cumsum(v)]) for v in (xc, yc, xc * xc, yc * yc, xc * yc)
+    )
 
-    idx = np.arange(s)
-    a = np.maximum(0, idx - off_l)
-    b = np.minimum(s - 1, idx + off_r)
     nw = (b - a + 1).astype(np.float64)
     mx = (cx[b + 1] - cx[a]) / nw
     my = (cy[b + 1] - cy[a]) / nw
@@ -272,13 +247,6 @@ def _span_eigen_ratio(xs: np.ndarray, ys: np.ndarray, off_l: int, off_r: int) ->
     vxy = (cxy[b + 1] - cxy[a]) / nw - mx * my
     lam1, lam2 = _eig2x2(vxx, vxy, vyy)
     return np.maximum(lam1, EPS_VAR) / np.maximum(lam2, EPS_VAR)
-
-
-_SPAN_STATS: dict[str, Callable[[np.ndarray, np.ndarray, int, int], np.ndarray]] = {
-    "dispersion": _span_dispersion,
-    "turn_angle": _span_turn_angle,
-    "eigen_ratio": _span_eigen_ratio,
-}
 
 
 def stage2_statistics(
@@ -291,16 +259,36 @@ def stage2_statistics(
     """Compute the requested sliding statistics over every True run of span_mask.
 
     Windows are centered (window_len // 2 samples to the left) and clipped to
-    the span. Samples outside any span hold NaN.
+    the run. Samples outside any span hold NaN.
     """
     off_l = window_len // 2
     off_r = window_len - off_l - 1
     out = {k: np.full(x.shape[0], np.nan) for k in kinds}
-    for lo, hi in _runs(span_mask):
-        xs = x[lo : hi + 1]
-        ys = y[lo : hi + 1]
-        for k in kinds:
-            out[k][lo : hi + 1] = _SPAN_STATS[k](xs, ys, off_l, off_r)
+    idx = np.flatnonzero(span_mask)
+    m = idx.shape[0]
+    if m == 0:
+        return out
+
+    new_run = np.ones(m, dtype=bool)
+    new_run[1:] = np.diff(idx) != 1
+    run_starts = np.flatnonzero(new_run)
+    run_ends = np.append(run_starts[1:], m) - 1
+    run_id = np.cumsum(new_run) - 1
+    k = np.arange(m)
+    a = np.maximum(run_starts[run_id], k - off_l)
+    b = np.minimum(run_ends[run_id], k + off_r)
+
+    xs = x[idx]
+    ys = y[idx]
+    for kind in kinds:
+        if kind == "dispersion":
+            out[kind][idx] = _dispersion(xs, ys, run_id, off_l, off_r)
+        elif kind == "turn_angle":
+            out[kind][idx] = _turn_angle(xs, ys, a, b)
+        elif kind == "eigen_ratio":
+            out[kind][idx] = _eigen_ratio(xs, ys, run_id, run_starts, a, b)
+        else:
+            raise DetectorError(f"unknown stage-2 statistic {kind!r}")
     return out
 
 

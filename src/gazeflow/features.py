@@ -144,6 +144,34 @@ def repair_sequence(seq: GazeSequence, max_gap: int) -> tuple[np.ndarray, np.nda
     return x, y, still_bad
 
 
+def window_starts(still_bad: np.ndarray, config: FrontendConfig = FrontendConfig()) -> np.ndarray:
+    """Start indices of the windows the frontend keeps.
+
+    One window starts every stride samples; a window is kept when it holds
+    no sample that is still invalid after repair (still_bad, as returned by
+    repair_sequence). A sequence shorter than one window keeps none.
+    """
+    n = still_bad.shape[0]
+    L = config.window_len
+    if n < L:
+        return np.empty(0, dtype=np.int64)
+    starts = np.arange(0, n - L + 1, config.stride)
+    if still_bad.any():
+        bad_in_window = sliding_window_view(still_bad, L).any(axis=1)
+        starts = starts[~bad_in_window[starts]]
+    return starts
+
+
+def yields_windows(seq: GazeSequence, config: FrontendConfig = FrontendConfig()) -> bool:
+    """True when the frontend keeps at least one window of seq.
+
+    These are exactly the sequences that build_window_set turns into
+    training windows, so a split of them matches a by-sequence training split.
+    """
+    _, _, still_bad = repair_sequence(seq, config.interp_max_gap)
+    return window_starts(still_bad, config).size > 0
+
+
 def featurize_sequence(
     seq: GazeSequence, config: FrontendConfig = FrontendConfig()
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -152,18 +180,14 @@ def featurize_sequence(
     Returns (centers, features): centers is the strictly increasing array of
     center sample indices that received a window, features the matching
     (m, window_len, 2) stack. Windows containing unrepaired invalid samples
-    are skipped.
+    are skipped (see window_starts).
     """
     n = len(seq)
     L = config.window_len
     if n < L:
         raise FeatureError(f"sequence of {n} samples is shorter than one window ({L})")
     x, y, bad = repair_sequence(seq, config.interp_max_gap)
-
-    starts = np.arange(0, n - L + 1, config.stride)
-    if bad.any():
-        bad_in_window = sliding_window_view(bad, L).any(axis=1)
-        starts = starts[~bad_in_window[starts]]
+    starts = window_starts(bad, config)
     if starts.size == 0:
         return starts, np.empty((0, L, 2), dtype=np.float64)
 
@@ -191,8 +215,9 @@ def build_window_set(
 ) -> WindowSet:
     """Featurize labeled sequences into one WindowSet for training.
 
-    Window labels are taken from the center sample. Sequences shorter than a
-    window are skipped; unlabeled sequences raise FeatureError.
+    Window labels are taken from the center sample. Sequences that yield no
+    window (see yields_windows) are skipped; unlabeled sequences raise
+    FeatureError.
     """
     feats: list[np.ndarray] = []
     labels: list[np.ndarray] = []

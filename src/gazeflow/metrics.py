@@ -118,13 +118,28 @@ def _aligned(preds: DetectorOutput, truth: np.ndarray) -> tuple[np.ndarray, np.n
     return preds.labels.astype(np.int64), truth[preds.sample_idx].astype(np.int64)
 
 
+def confusion_counts(truth: np.ndarray, pred: np.ndarray) -> np.ndarray:
+    """Count (truth, prediction) pairs: row = ground truth, column = prediction.
+
+    pred may carry leading axes, one per set of predictions scored against the
+    same truth: (..., m) predictions give (..., 3, 3) counts from one bincount.
+    """
+    truth = np.asarray(truth, dtype=np.int64)
+    pred = np.asarray(pred, dtype=np.int64)
+    lead = pred.shape[:-1]
+    n_sets = int(np.prod(lead))
+    codes = (truth * N_CLASSES + pred).reshape(n_sets, pred.shape[-1])
+    codes += N_CLASSES**2 * np.arange(n_sets)[:, None]
+    counts = np.bincount(codes.ravel(), minlength=n_sets * N_CLASSES**2)
+    return counts.reshape(lead + (N_CLASSES, N_CLASSES))
+
+
 def confusion(preds: DetectorOutput, truth: np.ndarray) -> ConfusionMatrix:
     """Count covered samples by (truth, prediction)."""
     pred_lab, true_lab = _aligned(preds, truth)
     if pred_lab.size == 0:
         raise EvalError("no covered samples to evaluate")
-    counts = np.bincount(true_lab * N_CLASSES + pred_lab, minlength=N_CLASSES**2)
-    return ConfusionMatrix(counts.reshape(N_CLASSES, N_CLASSES))
+    return ConfusionMatrix(confusion_counts(true_lab, pred_lab))
 
 
 def prf_from_confusion(cm: ConfusionMatrix) -> PrfReport:

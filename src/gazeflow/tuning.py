@@ -3,7 +3,8 @@
 Thresholds are chosen to maximize macro F1 over the covered frames of a set
 of labeled sequences (typically the validation split). The velocity grid is
 shared by all two-stage baselines; stage-2 statistics are computed once per
-velocity candidate and reused across the three stage-2 grids.
+velocity candidate, over all sequences pooled, and every point of the three
+stage-2 grids is scored from them with one confusion count per grid.
 """
 from __future__ import annotations
 
@@ -17,7 +18,8 @@ from .detectors import (
     _prepare,
     stage2_statistics,
 )
-from .gaze import GazeSequence, N_CLASSES
+from .gaze import GazeSequence
+from .metrics import confusion_counts
 
 
 def _default_velocity_grid() -> np.ndarray:
@@ -44,19 +46,14 @@ class TuningGrids:
     pca_ratio: np.ndarray = field(default_factory=_default_ratio_grid)
 
 
-def _macro_f1(counts: np.ndarray) -> float:
-    tp = np.diag(counts).astype(np.float64)
-    fp = counts.sum(axis=0) - tp
-    fn = counts.sum(axis=1) - tp
+def _macro_f1(counts: np.ndarray) -> np.ndarray:
+    """Mean over classes of 2tp / (2tp + fp + fn), for (..., 3, 3) counts."""
+    tp = np.diagonal(counts, axis1=-2, axis2=-1).astype(np.float64)
+    fp = counts.sum(axis=-2) - tp
+    fn = counts.sum(axis=-1) - tp
     denom = 2 * tp + fp + fn
-    f1 = np.divide(2 * tp, denom, out=np.zeros(N_CLASSES), where=denom > 0)
-    return float(f1.mean())
-
-
-def _confusion_counts(truth: np.ndarray, pred: np.ndarray) -> np.ndarray:
-    return np.bincount(truth * N_CLASSES + pred, minlength=N_CLASSES**2).reshape(
-        N_CLASSES, N_CLASSES
-    )
+    f1 = np.divide(2 * tp, denom, out=np.zeros_like(tp), where=denom > 0)
+    return f1.mean(axis=-1)
 
 
 def tune_baselines(
@@ -68,7 +65,8 @@ def tune_baselines(
 
     Returns one BaselineConfig per detector name ("ivt", "ivt-idt", "ivmp",
     "pca"). Two-stage baselines search the velocity grid jointly with their
-    stage-2 grid.
+    stage-2 grid; ties go to the first grid point in (velocity, stage-2)
+    order.
     """
     if not sequences:
         raise DetectorError("cannot tune on an empty sequence list")
@@ -76,87 +74,61 @@ def tune_baselines(
         if seq.labels is None:
             raise DetectorError(f"sequence {seq.source_id!r} has no labels for tuning")
 
+    # Pool the sequences into one, with a bad separator sample after each so
+    # that no stage-2 span crosses from one sequence into the next.
     probe = BaselineConfig(window_len=window_len)
-    prepared = []
+    x, y, bad, v, covered, truth = [], [], [], [], [], []
+    offset = 0
     for seq in sequences:
         st = _prepare(seq, probe)
-        truth_cov = seq.labels[st.covered_idx].astype(np.int64)
-        prepared.append((st, truth_cov))
+        x += [st.x, [np.nan]]
+        y += [st.y, [np.nan]]
+        bad += [st.bad, [True]]
+        v += [st.v, [np.nan]]
+        covered.append(st.covered_idx + offset)
+        truth.append(seq.labels[st.covered_idx])
+        offset += len(seq) + 1
+    x, y, bad, v = (np.concatenate(parts) for parts in (x, y, bad, v))
+    covered = np.concatenate(covered)
+    truth = np.concatenate(truth).astype(np.int64)
+    v_cov = v[covered]
+    velocity = np.asarray(grids.velocity, dtype=np.float64)
 
-    stat_kinds = ("dispersion", "turn_angle", "eigen_ratio")
-    best: dict[str, tuple[float, BaselineConfig]] = {}
-
-    # one-dimensional sweep for the binary velocity detector
-    best_ivt = (-1.0, None)
-    for tau_v in grids.velocity:
-        counts = np.zeros((N_CLASSES, N_CLASSES), dtype=np.int64)
-        for st, truth_cov in prepared:
-            with np.errstate(invalid="ignore"):
-                pred = (st.v[st.covered_idx] > tau_v).astype(np.int64)  # 0 fix, 1 sac
-            counts += _confusion_counts(truth_cov, pred)
-        f1 = _macro_f1(counts)
-        if f1 > best_ivt[0]:
-            best_ivt = (f1, float(tau_v))
-    best["ivt"] = (
-        best_ivt[0],
-        BaselineConfig(velocity_threshold_deg_s=best_ivt[1], window_len=window_len),
-    )
+    # binary velocity detector: one prediction row per velocity candidate
+    with np.errstate(invalid="ignore"):
+        pred = (v_cov > velocity[:, None]).astype(np.int64)  # 0 fix, 1 sac
+    best_v = int(np.argmax(_macro_f1(confusion_counts(truth, pred))))
+    tuned = {
+        "ivt": BaselineConfig(velocity_threshold_deg_s=float(velocity[best_v]), window_len=window_len)
+    }
 
     # joint velocity x stage-2 sweeps, sharing stage-2 statistics per tau_v
     stage2_grids = {
-        "ivt-idt": ("dispersion", grids.dispersion, False),
-        "ivmp": ("turn_angle", grids.angle, True),
-        "pca": ("eigen_ratio", grids.pca_ratio, False),
+        "ivt-idt": ("dispersion", np.asarray(grids.dispersion, dtype=np.float64), "dispersion_threshold_deg"),
+        "ivmp": ("turn_angle", np.asarray(grids.angle, dtype=np.float64), "angle_threshold_rad"),
+        "pca": ("eigen_ratio", np.asarray(grids.pca_ratio, dtype=np.float64), "pca_ratio_threshold"),
     }
-    best_two: dict[str, tuple[float, float, float]] = {
-        name: (-1.0, 0.0, 0.0) for name in stage2_grids
-    }
-    for tau_v in grids.velocity:
-        per_seq = []
-        for st, truth_cov in prepared:
-            with np.errstate(invalid="ignore"):
-                sac = st.v > tau_v
-            span_mask = ~sac & ~st.bad
-            stats = stage2_statistics(st.x, st.y, span_mask, window_len, stat_kinds)
-            per_seq.append((st, truth_cov, sac, stats))
-        for name, (kind, grid, angle_is_fix_above) in stage2_grids.items():
-            for tau_2 in grid:
-                counts = np.zeros((N_CLASSES, N_CLASSES), dtype=np.int64)
-                for st, truth_cov, sac, stats in per_seq:
-                    stat_cov = stats[kind][st.covered_idx]
-                    sac_cov = sac[st.covered_idx]
-                    if angle_is_fix_above:
-                        pursuit = stat_cov < tau_2  # coherent motion: small angle
-                    else:
-                        pursuit = stat_cov > tau_2
-                    pred = np.where(sac_cov, 1, np.where(pursuit, 2, 0)).astype(np.int64)
-                    counts += _confusion_counts(truth_cov, pred)
-                f1 = _macro_f1(counts)
-                if f1 > best_two[name][0]:
-                    best_two[name] = (f1, float(tau_v), float(tau_2))
+    kinds = tuple(kind for kind, _, _ in stage2_grids.values())
+    f1 = {name: np.empty((velocity.size, grid.size)) for name, (_, grid, _) in stage2_grids.items()}
+    for i, tau_v in enumerate(velocity):
+        with np.errstate(invalid="ignore"):
+            sac = v > tau_v
+        stats = stage2_statistics(x, y, ~sac & ~bad, window_len, kinds)
+        sac_cov = sac[covered]
+        for name, (kind, grid, _) in stage2_grids.items():
+            stat_cov = stats[kind][covered]
+            if kind == "turn_angle":
+                pursuit = stat_cov < grid[:, None]  # coherent motion: small angle
+            else:
+                pursuit = stat_cov > grid[:, None]
+            pred = np.where(sac_cov, 1, np.where(pursuit, 2, 0))
+            f1[name][i] = _macro_f1(confusion_counts(truth, pred))
 
-    best["ivt-idt"] = (
-        best_two["ivt-idt"][0],
-        BaselineConfig(
-            velocity_threshold_deg_s=best_two["ivt-idt"][1],
-            dispersion_threshold_deg=best_two["ivt-idt"][2],
+    for name, (_, grid, field_name) in stage2_grids.items():
+        i, j = np.unravel_index(np.argmax(f1[name]), f1[name].shape)  # first best, row-major
+        tuned[name] = BaselineConfig(
+            velocity_threshold_deg_s=float(velocity[i]),
             window_len=window_len,
-        ),
-    )
-    best["ivmp"] = (
-        best_two["ivmp"][0],
-        BaselineConfig(
-            velocity_threshold_deg_s=best_two["ivmp"][1],
-            angle_threshold_rad=best_two["ivmp"][2],
-            window_len=window_len,
-        ),
-    )
-    best["pca"] = (
-        best_two["pca"][0],
-        BaselineConfig(
-            velocity_threshold_deg_s=best_two["pca"][1],
-            pca_ratio_threshold=best_two["pca"][2],
-            window_len=window_len,
-        ),
-    )
-    return {name: cfg for name, (_, cfg) in best.items()}
+            **{field_name: float(grid[j])},
+        )
+    return tuned

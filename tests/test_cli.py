@@ -1,12 +1,16 @@
 import json
 import os
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gazeflow.cli as cli
 from gazeflow.cli import main
-from gazeflow.gaze_io import read_gaze_csv, read_manifest, read_predictions_csv
+from gazeflow.detectors import cnn_detect
+from gazeflow.gaze import split_dataset
+from gazeflow.gaze_io import read_gaze_csv, read_manifest, read_predictions_csv, write_gaze_csv
 from gazeflow.metrics import frame_accuracy
 from gazeflow.model_io import load_model, model_crc
 
@@ -344,6 +348,42 @@ class TestCompare:
         assert main(["compare", "--data-dir", str(data), "--model", str(model), "--report-dir", str(r1), "--seed", "6"]) == 0
         assert main(["compare", "--data-dir", str(data), "--model", str(model), "--report-dir", str(r2), "--seed", "6"]) == 0
         assert (r1 / "comparison.csv").read_bytes() == (r2 / "comparison.csv").read_bytes()
+
+    def test_compare_tests_on_no_training_recording(self, tmp_path, tiny_config, monkeypatch):
+        # recording 2 yields no window, so a by-sequence train splits the
+        # other eight; with seed 5 a split of all nine recordings would put
+        # a training recording into compare's test part
+        data = synth(tmp_path, tiny_config, n=9, seed=5)
+        paths = sorted(data.glob("*.csv"))
+        dead = read_gaze_csv(paths[2])
+        write_gaze_csv(replace(dead, valid=np.zeros(len(dead), bool)), paths[2])
+        cfg = tmp_path / "seq.cfg"
+        cfg.write_text(TINY_CONFIG.replace("phase1_epochs = 2", "split_level = sequence\nphase1_epochs = 2"))
+
+        trained, tested = set(), set()
+
+        def spy_split(windows, *args, **kwargs):
+            split = split_dataset(windows, *args, **kwargs)
+            trained.update(paths[g].stem for g in np.unique(split.train.groups))
+            return split
+
+        def spy_cnn_detect(model, seq, *args, **kwargs):
+            tested.add(seq.source_id)
+            return cnn_detect(model, seq, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "split_dataset", spy_split)
+        monkeypatch.setattr(cli, "cnn_detect", spy_cnn_detect)
+        model = tmp_path / "model.gznn"
+        assert main(
+            ["train", "--data-dir", str(data), "--config", str(cfg), "--out", str(model), "--seed", "5"]
+        ) == 0
+        assert main(
+            ["compare", "--data-dir", str(data), "--model", str(model), "--config", str(cfg),
+             "--report-dir", str(tmp_path / "cmp"), "--seed", "5"]
+        ) == 0
+        assert len(trained) == 6 and len(tested) == 1
+        assert not tested & trained
+        assert paths[2].stem not in trained | tested
 
     def test_compare_missing_model_exit4(self, tmp_path, tiny_config):
         data = synth(tmp_path, tiny_config, n=3, seed=7)

@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from gazeflow.detectors import (
     BaselineConfig,
     DetectorError,
     DetectorOutput,
     _eig2x2,
-    _runs,
-    _span_turn_angle,
     cnn_detect,
     concat_outputs,
     ivmp_detect,
@@ -238,6 +237,180 @@ class TestPcaRatio:
         out1 = pca_ratio_detect(make_seq(x, y), cfg)
         out2 = pca_ratio_detect(make_seq(xr, yr), cfg)
         assert np.array_equal(out1.labels, out2.labels)
+
+
+def _oracle_runs(mask):
+    """Maximal [lo, hi] runs of True."""
+    if mask.size == 0 or not mask.any():
+        return []
+    d = np.diff(mask.astype(np.int8))
+    starts = np.flatnonzero(d == 1) + 1
+    ends = np.flatnonzero(d == -1)
+    if mask[0]:
+        starts = np.concatenate([[0], starts])
+    if mask[-1]:
+        ends = np.concatenate([ends, [mask.size - 1]])
+    return list(zip(starts.tolist(), ends.tolist()))
+
+
+def _oracle_dispersion(xs, ys, off_l, off_r):
+    s = xs.shape[0]
+    L = off_l + off_r + 1
+    idx = np.arange(s)
+    out = np.empty(s)
+    left = idx < off_l
+    if left.any():
+        pxmax = np.maximum.accumulate(xs)
+        pxmin = np.minimum.accumulate(xs)
+        pymax = np.maximum.accumulate(ys)
+        pymin = np.minimum.accumulate(ys)
+        b = np.minimum(s - 1, idx[left] + off_r)
+        out[left] = (pxmax[b] - pxmin[b]) + (pymax[b] - pymin[b])
+    right = ~left & (idx > s - 1 - off_r)
+    if right.any():
+        sxmax = np.maximum.accumulate(xs[::-1])[::-1]
+        sxmin = np.minimum.accumulate(xs[::-1])[::-1]
+        symax = np.maximum.accumulate(ys[::-1])[::-1]
+        symin = np.minimum.accumulate(ys[::-1])[::-1]
+        a = idx[right] - off_l
+        out[right] = (sxmax[a] - sxmin[a]) + (symax[a] - symin[a])
+    if s >= L:
+        wx = sliding_window_view(xs, L)
+        wy = sliding_window_view(ys, L)
+        out[off_l : s - off_r] = (wx.max(axis=1) - wx.min(axis=1)) + (wy.max(axis=1) - wy.min(axis=1))
+    return out
+
+
+def _oracle_turn_angle(xs, ys, off_l, off_r):
+    s = xs.shape[0]
+    if s < 3:
+        return np.full(s, np.pi)
+    dx = np.diff(xs)
+    dy = np.diff(ys)
+    moving = (dx != 0) | (dy != 0)
+    dot = dx[:-1] * dx[1:] + dy[:-1] * dy[1:]
+    cross = dx[:-1] * dy[1:] - dy[:-1] * dx[1:]
+    ang = np.abs(np.arctan2(cross, dot))
+    valid = moving[:-1] & moving[1:]
+    csum_ang = np.concatenate([[0.0], np.cumsum(np.where(valid, ang, 0.0))])
+    csum_cnt = np.concatenate([[0], np.cumsum(valid.astype(np.int64))])
+    idx = np.arange(s)
+    a = np.maximum(0, idx - off_l)
+    b = np.minimum(s - 1, idx + off_r)
+    hi = np.maximum(b - 2, a - 1)
+    total = csum_ang[hi + 1] - csum_ang[a]
+    count = csum_cnt[hi + 1] - csum_cnt[a]
+    with np.errstate(invalid="ignore"):
+        return np.where(count > 0, total / np.maximum(count, 1), np.pi)
+
+
+def _oracle_eigen_ratio(xs, ys, off_l, off_r):
+    s = xs.shape[0]
+    xc = xs - xs.mean()
+    yc = ys - ys.mean()
+    cx, cy, cxx, cyy, cxy = (
+        np.concatenate([[0.0], np.cumsum(v)]) for v in (xc, yc, xc * xc, yc * yc, xc * yc)
+    )
+    idx = np.arange(s)
+    a = np.maximum(0, idx - off_l)
+    b = np.minimum(s - 1, idx + off_r)
+    nw = (b - a + 1).astype(np.float64)
+    mx = (cx[b + 1] - cx[a]) / nw
+    my = (cy[b + 1] - cy[a]) / nw
+    vxx = np.maximum((cxx[b + 1] - cxx[a]) / nw - mx * mx, 0.0)
+    vyy = np.maximum((cyy[b + 1] - cyy[a]) / nw - my * my, 0.0)
+    vxy = (cxy[b + 1] - cxy[a]) / nw - mx * my
+    lam1, lam2 = _eig2x2(vxx, vxy, vyy)
+    return np.maximum(lam1, 1e-12) / np.maximum(lam2, 1e-12)
+
+
+_ORACLE_STATS = {
+    "dispersion": _oracle_dispersion,
+    "turn_angle": _oracle_turn_angle,
+    "eigen_ratio": _oracle_eigen_ratio,
+}
+
+
+def stage2_oracle(x, y, span_mask, window_len, kinds):
+    """Per-span stage 2: each run of span_mask is sliced out and processed alone."""
+    off_l = window_len // 2
+    off_r = window_len - off_l - 1
+    out = {k: np.full(x.shape[0], np.nan) for k in kinds}
+    for lo, hi in _oracle_runs(span_mask):
+        for k in kinds:
+            out[k][lo : hi + 1] = _ORACLE_STATS[k](x[lo : hi + 1], y[lo : hi + 1], off_l, off_r)
+    return out
+
+
+def random_span_mask(n, rng, touch_ends):
+    """Alternating runs and gaps; run lengths 1..80 cover both sides of the window."""
+    mask = np.zeros(n, bool)
+    i = 0 if touch_ends else int(rng.integers(1, 4))
+    while i < n:
+        run = int(rng.choice([1, 2, 3, 5, 14, 15, 16, 29, 30, 31, 45, 80]))
+        mask[i : i + run] = True
+        i += run + int(rng.integers(1, 4))
+    if touch_ends:
+        mask[-3:] = True
+    else:
+        mask[-1] = False
+    return mask
+
+
+class TestStage2MatchesPerSpanOracle:
+    KINDS = ("dispersion", "turn_angle", "eigen_ratio")
+
+    @pytest.fixture(scope="class")
+    def cases(self):
+        rng = np.random.default_rng(11)
+        n = 600
+        out = []
+        for k in range(8):
+            x = np.cumsum(rng.normal(0, 0.1, n))
+            y = np.cumsum(rng.normal(0, 0.05, n))
+            # stationary stretches and exact repeats: zero displacements, degenerate windows
+            x[100:160] = x[100]
+            y[100:160] = y[100]
+            x[300:340:2] = x[301:341:2]
+            masks = [random_span_mask(n, rng, touch_ends=bool(k % 2)) for _ in range(3)]
+            masks += [np.zeros(n, bool), np.ones(n, bool)] if k == 0 else []
+            out += [(x, y, mask, wl) for mask in masks for wl in (2, 5, 30)]
+        return out
+
+    def test_masks_cover_the_edge_cases(self, cases):
+        lengths = set()
+        touch_first = touch_last = empty = full = False
+        for _, _, mask, _ in cases:
+            runs = _oracle_runs(mask)
+            lengths |= {hi - lo + 1 for lo, hi in runs}
+            touch_first |= bool(mask[0])
+            touch_last |= bool(mask[-1])
+            empty |= not mask.any()
+            full |= bool(mask.all())
+        assert {1, 2} <= lengths and min(lengths) < 30 < max(lengths)
+        assert touch_first and touch_last and empty and full
+
+    def test_dispersion_bit_identical(self, cases):
+        for x, y, mask, wl in cases:
+            got = stage2_statistics(x, y, mask, wl, ("dispersion",))["dispersion"]
+            want = stage2_oracle(x, y, mask, wl, ("dispersion",))["dispersion"]
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_turn_angle_and_eigen_ratio_close(self, cases):
+        for x, y, mask, wl in cases:
+            got = stage2_statistics(x, y, mask, wl, self.KINDS)
+            want = stage2_oracle(x, y, mask, wl, self.KINDS)
+            for k in self.KINDS:
+                assert np.array_equal(np.isnan(got[k]), np.isnan(want[k]))
+            span = ~np.isnan(want["turn_angle"])
+            assert np.max(np.abs(got["turn_angle"] - want["turn_angle"])[span], initial=0.0) <= 1e-12
+            ratio_g, ratio_w = got["eigen_ratio"], want["eigen_ratio"]
+            sel = span & (ratio_w < 1e3)  # above, lam2 sits near the floor: ill-conditioned
+            assert np.max(np.abs(ratio_g - ratio_w)[sel] / ratio_w[sel], initial=0.0) <= 1e-9
+
+    def test_unknown_statistic_rejected(self):
+        with pytest.raises(DetectorError):
+            stage2_statistics(np.zeros(5), np.zeros(5), np.ones(5, bool), 3, ("median",))
 
 
 class TestCnnDetect:

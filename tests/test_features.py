@@ -5,11 +5,13 @@ from gazeflow.features import (
     FeatureError,
     FrontendConfig,
     RawWindow,
+    build_window_set,
     extract_windows,
     featurize_sequence,
     fft_magnitude,
     make_feature,
     repair_sequence,
+    yields_windows,
 )
 from gazeflow.gaze import GazeSequence
 
@@ -175,6 +177,26 @@ class TestExtractWindows:
         x[0] = np.nan
         centers, _ = featurize_sequence(make_seq(x, valid=valid))
         assert centers.tolist() == list(range(16, 46))
+
+
+class TestYieldsWindows:
+    def test_matches_the_sequences_build_window_set_keeps(self):
+        labels = np.zeros(60, np.int8)
+        gappy = np.ones(60, bool)
+        gappy[10:50:8] = False  # 1-sample losses: repaired
+        gappy[0] = False  # a loss at the boundary stays, but later windows avoid it
+        blocked = np.ones(60, bool)
+        blocked[20:40] = False  # every window holds the 20-sample loss
+        seqs = [
+            make_seq(np.zeros(60), labels=labels),
+            make_seq(np.zeros(29), labels=labels[:29]),  # shorter than one window
+            make_seq(np.where(blocked, 0.0, np.nan), valid=blocked, labels=labels),
+            make_seq(np.where(gappy, 0.0, np.nan), valid=gappy, labels=labels),
+            make_seq(np.full(60, np.nan), valid=np.zeros(60, bool), labels=labels),
+        ]
+        kept = np.unique(build_window_set(seqs).groups)
+        assert kept.tolist() == [0, 3]
+        assert [i for i, s in enumerate(seqs) if yields_windows(s)] == kept.tolist()
 
 
 class TestRepairSequence:

@@ -8,6 +8,7 @@ from gazeflow.metrics import (
     EvalError,
     confidence_accuracy,
     confusion,
+    confusion_counts,
     event_majority,
     frame_accuracy,
     one_vs_all_auc,
@@ -86,6 +87,18 @@ class TestConfusion:
         )
         with pytest.raises(EvalError):
             confusion(out, np.array([0, 1, 2]))
+
+    def test_counts_with_a_leading_grid_axis(self):
+        rng = np.random.default_rng(12)
+        truth = rng.integers(0, 3, 50)
+        preds = rng.integers(0, 3, (2, 4, 50))
+        counts = confusion_counts(truth, preds)
+        assert counts.shape == (2, 4, 3, 3)
+        for idx in np.ndindex(2, 4):
+            expected = np.zeros((3, 3), np.int64)
+            for t, p in zip(truth, preds[idx]):
+                expected[t, p] += 1
+            assert np.array_equal(counts[idx], expected)
 
 
 class TestPrf:

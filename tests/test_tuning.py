@@ -3,9 +3,13 @@ import pytest
 
 from gazeflow.detectors import (
     BASELINE_DETECTORS,
+    BaselineConfig,
     DetectorError,
     concat_outputs,
+    ivmp_detect,
+    ivt_detect,
     ivt_idt_detect,
+    pca_ratio_detect,
 )
 from gazeflow.metrics import frame_accuracy
 from gazeflow.simulate import StimulusConfig, generate_corpus
@@ -20,7 +24,61 @@ def noiseless_corpus():
     return [t.sequence for t in generate_corpus(cfg, 6)]
 
 
+def macro_f1_2tp(truth, pred):
+    """Mean over the three classes of 2tp / (2tp + fp + fn), 0 for an absent class."""
+    f1 = []
+    for c in range(3):
+        tp = np.sum((truth == c) & (pred == c))
+        fp = np.sum((truth != c) & (pred == c))
+        fn = np.sum((truth == c) & (pred != c))
+        f1.append(2 * tp / (2 * tp + fp + fn) if 2 * tp + fp + fn else 0.0)
+    return np.mean(f1)
+
+
+def brute_force_tuning(sequences, grids):
+    """Run each detector at every grid point; keep the first best macro F1.
+
+    Every detector is scored on the samples whose analysis window is fully
+    valid (the two-stage coverage), as tune_baselines does.
+    """
+    cover = [ivt_idt_detect(s).sample_idx for s in sequences]
+    truth = np.concatenate([s.labels[c] for s, c in zip(sequences, cover)])
+
+    def score(detect, cfg):
+        pred = [detect(s, cfg).full_labels()[c] for s, c in zip(sequences, cover)]
+        return macro_f1_2tp(truth, np.concatenate(pred))
+
+    searches = {
+        "ivt": (ivt_detect, None, [None]),
+        "ivt-idt": (ivt_idt_detect, "dispersion_threshold_deg", grids.dispersion),
+        "ivmp": (ivmp_detect, "angle_threshold_rad", grids.angle),
+        "pca": (pca_ratio_detect, "pca_ratio_threshold", grids.pca_ratio),
+    }
+    best = {}
+    for name, (detect, field, grid) in searches.items():
+        best_f1 = -1.0
+        for tau_v in grids.velocity:
+            for tau_2 in grid:
+                extra = {field: float(tau_2)} if field else {}
+                cfg = BaselineConfig(velocity_threshold_deg_s=float(tau_v), **extra)
+                f1 = score(detect, cfg)
+                if f1 > best_f1:
+                    best_f1, best[name] = f1, cfg
+    return best
+
+
 class TestTuneBaselines:
+    def test_matches_brute_force_search(self, noiseless_corpus):
+        # unsorted grids: on this corpus several angle thresholds tie, and the
+        # first in search order must win whatever its value
+        grids = TuningGrids(
+            velocity=np.array([300.0, 40.0, 120.0, 10.0]),
+            dispersion=np.array([3.0, 1.5, 0.6, 0.2]),
+            angle=np.array([0.9, 0.6, 0.35, 0.1]) * np.pi,
+            pca_ratio=np.array([50.0, 12.0, 4.0, 1.5]),
+        )
+        assert tune_baselines(noiseless_corpus, grids) == brute_force_tuning(noiseless_corpus, grids)
+
     def test_returns_all_four(self, noiseless_corpus):
         tuned = tune_baselines(noiseless_corpus)
         assert set(tuned) == set(BASELINE_DETECTORS)
