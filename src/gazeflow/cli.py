@@ -25,7 +25,7 @@ from .detectors import (
     cnn_detect,
     concat_outputs,
 )
-from .features import FeatureError, build_window_set, yields_windows
+from .features import FeatureError, FrontendConfig, build_window_set, yields_windows
 from .gaze import (
     CLASS_NAMES,
     DEFAULT_SPLIT_RATIOS,
@@ -56,7 +56,7 @@ from .metrics import (
     prf_from_confusion,
 )
 from .model_io import ModelFileError, load_model, save_model
-from .net import TrainingError, train
+from .net import NetworkParams, TrainingError, train
 from .runconfig import ConfigError, RunConfig, load_run_config
 from .simulate import SimulationError, corpus_stats, generate_corpus
 from .tuning import tune_baselines
@@ -117,6 +117,17 @@ def _read_corpus(data_dir: str, require_labels: bool) -> list[GazeSequence]:
     return seqs
 
 
+def _load_model(path: str, frontend: FrontendConfig) -> NetworkParams:
+    model = load_model(path)
+    if model.input_len != frontend.window_len:
+        raise CliError(
+            EXIT_USAGE,
+            f"model {path} takes {model.input_len}-sample windows "
+            f"but [frontend] window_len is {frontend.window_len}",
+        )
+    return model
+
+
 def _fmt(x: float) -> str:
     return repr(float(x))
 
@@ -172,7 +183,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config, seed)
     seq = read_gaze_csv(args.infile)
     if args.model is not None:
-        model = load_model(args.model)
+        model = _load_model(args.model, cfg.frontend)
         preds = cnn_detect(model, seq, cfg.frontend)
     else:
         detector = BASELINE_DETECTORS[args.baseline]
@@ -298,7 +309,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_compare(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args.seed)
     cfg = _load_config(args.config, seed)
-    model = load_model(args.model)
+    model = _load_model(args.model, cfg.frontend)
     seqs = _read_corpus(args.data_dir, require_labels=True)
     # split the recordings a by-sequence `train` splits: those that yield a window
     units = np.flatnonzero([yields_windows(s, cfg.frontend) for s in seqs])

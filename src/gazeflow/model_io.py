@@ -6,8 +6,9 @@ Layout (all integers little-endian u32, all floats little-endian f64):
     version u32      currently 1
     header  u32 x 6  kernel_len, pool_factor, n_filters, n_channels,
                      input_len, n_classes
-    payload f64[]    conv_w row-major [filter][tap][channel], conv_b,
-                     dense_w row-major [class][flat], dense_b
+    payload f64[]    NetworkParams.vector: conv_w row-major
+                     [filter][tap][channel], conv_b, dense_w row-major
+                     [class][flat], dense_b
     crc     u32      CRC-32 of the payload bytes
 
 Loading validates magic, version, header consistency, payload length and
@@ -22,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .gaze import N_CLASSES
-from .net import NetworkParams, flattened_dim
+from .net import N_CHANNELS, NetworkParams, flattened_dim
 
 MAGIC = b"GZNN"
 FORMAT_VERSION = 1
@@ -47,9 +48,7 @@ class ModelShapeError(ModelFileError):
 
 def save_model(params: NetworkParams, path: str | Path) -> None:
     """Write parameters to a checkpoint file; load_model inverts it bit-exactly."""
-    payload = b"".join(
-        np.ascontiguousarray(arr, dtype="<f8").tobytes() for _, arr in params.arrays()
-    )
+    payload = params.vector.astype("<f8", copy=False).tobytes()
     header = _HEADER.pack(
         MAGIC,
         FORMAT_VERSION,
@@ -76,7 +75,7 @@ def load_model(path: str | Path) -> NetworkParams:
         raise ModelCorruptError("bad magic bytes")
     if version != FORMAT_VERSION:
         raise ModelVersionError(f"unsupported format version {version}")
-    if n_classes != N_CLASSES or n_channels < 1:
+    if n_classes != N_CLASSES or n_channels != N_CHANNELS:
         raise ModelShapeError("unsupported class/channel count")
     if not (1 <= kernel_len <= input_len) or pool_factor < 1 or n_filters < 1:
         raise ModelShapeError("invalid layer geometry in header")
@@ -84,13 +83,8 @@ def load_model(path: str | Path) -> NetworkParams:
     if flat == 0:
         raise ModelShapeError("layer geometry leaves no pooled outputs")
 
-    counts = (
-        n_filters * kernel_len * n_channels,
-        n_filters,
-        n_classes * flat,
-        n_classes,
-    )
-    expected = _HEADER.size + 8 * sum(counts) + 4
+    n_weights = n_filters * kernel_len * n_channels + n_filters + n_classes * flat + n_classes
+    expected = _HEADER.size + 8 * n_weights + 4
     if len(blob) != expected:
         raise ModelShapeError(
             f"payload length {len(blob)} does not match declared dimensions ({expected})"
@@ -100,26 +94,12 @@ def load_model(path: str | Path) -> NetworkParams:
     if zlib.crc32(payload) != stored_crc:
         raise ModelCorruptError("payload checksum mismatch")
 
-    flat_values = np.frombuffer(payload, dtype="<f8").astype(np.float64)
-    shapes = (
-        (n_filters, kernel_len, n_channels),
-        (n_filters,),
-        (n_classes, flat),
-        (n_classes,),
-    )
-    arrays = []
-    pos = 0
-    for count, shape in zip(counts, shapes):
-        arrays.append(flat_values[pos : pos + count].reshape(shape))
-        pos += count
-    conv_w, conv_b, dense_w, dense_b = arrays
-    return NetworkParams(
-        conv_w=conv_w,
-        conv_b=conv_b,
-        dense_w=dense_w,
-        dense_b=dense_b,
+    return NetworkParams.from_vector(
+        np.frombuffer(payload, dtype="<f8"),
+        kernel_len=kernel_len,
         pool_factor=pool_factor,
         input_len=input_len,
+        n_filters=n_filters,
     )
 
 

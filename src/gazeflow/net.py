@@ -7,17 +7,24 @@ cross-correlation with 10 filters of length 10 spanning both channels
 There is no activation between convolution and pooling; the pooling itself
 is the nonlinearity.
 
-All arithmetic is float64. Forward/backward are pure functions of immutable
-parameters, training is bit-deterministic for a fixed seed, and gradients
-are the exact analytic derivatives of the cross-entropy loss.
+All arithmetic is float64. The weights live in one contiguous vector,
+ordered conv_w, conv_b, dense_w, dense_b (the model file's payload order);
+the four named arrays are read-only views into it. Gradients and the Adam
+moments share that layout, so an optimizer step is a few whole-vector
+operations. The convolution unfolds each batch into im2col columns with one
+gather, so memory grows with the batch and not with the training set.
+Forward/backward are pure functions of immutable parameters, training is
+bit-deterministic for a fixed seed, and gradients are the exact analytic
+derivatives of the cross-entropy loss.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterable
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .gaze import DatasetSplit, N_CLASSES, Prediction, WindowSet
 
@@ -33,7 +40,7 @@ class NetError(ValueError):
 
 
 class TrainingError(ValueError):
-    """Bad training inputs (empty splits, invalid configuration)."""
+    """Bad training inputs (empty splits, invalid configuration) or a diverged run."""
 
 
 def flattened_dim(input_len: int, kernel_len: int, pool_factor: int, n_filters: int = N_FILTERS) -> int:
@@ -41,12 +48,38 @@ def flattened_dim(input_len: int, kernel_len: int, pool_factor: int, n_filters: 
     return n_filters * ((input_len - kernel_len + 1) // pool_factor)
 
 
+def _bind(obj, vector: np.ndarray, shapes) -> None:
+    """Freeze `vector` and set it, and its four named views, on `obj`."""
+    vector.setflags(write=False)
+    object.__setattr__(obj, "vector", vector)
+    pos = 0
+    for name, shape in zip(_PARAM_FIELDS, shapes):
+        size = math.prod(shape)
+        object.__setattr__(obj, name, vector[pos : pos + size].reshape(shape))
+        pos += size
+
+
+class _WeightVector:
+    """Shared behaviour of the objects that hold one weight-shaped vector."""
+
+    vector: np.ndarray
+
+    @property
+    def shapes(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(getattr(self, name).shape for name in _PARAM_FIELDS)
+
+    def arrays(self) -> Iterable[tuple[str, np.ndarray]]:
+        for name in _PARAM_FIELDS:
+            yield name, getattr(self, name)
+
+
 @dataclass(frozen=True)
-class NetworkParams:
+class NetworkParams(_WeightVector):
     """All learnable weights plus the fixed layer geometry.
 
     conv_w is indexed [filter][tap][channel]; dense_w is [class][flat] with
-    the flat axis ordered (pool region, filter) row-major.
+    the flat axis ordered (pool region, filter) row-major. The constructor
+    copies the four arrays into `vector` and validates shapes and values.
     """
 
     conv_w: np.ndarray
@@ -55,6 +88,7 @@ class NetworkParams:
     dense_b: np.ndarray
     pool_factor: int = 5
     input_len: int = 30
+    vector: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         cw = np.asarray(self.conv_w, dtype=np.float64)
@@ -77,12 +111,42 @@ class NetworkParams:
             raise NetError(f"dense_w must have shape ({N_CLASSES}, {flat}), got {dw.shape}")
         if db.shape != (N_CLASSES,):
             raise NetError("dense_b shape mismatch")
-        for arr in (cw, cb, dw, db):
-            if not np.isfinite(arr).all():
-                raise NetError("weights must be finite")
-        for name, arr in zip(_PARAM_FIELDS, (cw, cb, dw, db)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        vector = np.concatenate([cw.ravel(), cb, dw.ravel(), db])
+        if not np.isfinite(vector).all():
+            raise NetError("weights must be finite")
+        _bind(self, vector, (cw.shape, cb.shape, dw.shape, db.shape))
+
+    @classmethod
+    def from_vector(
+        cls, vector: np.ndarray, kernel_len: int, pool_factor: int, input_len: int, n_filters: int = N_FILTERS
+    ) -> "NetworkParams":
+        """Validated parameters from a flat vector in payload order (copied)."""
+        flat = flattened_dim(input_len, kernel_len, pool_factor, n_filters)
+        sizes = np.cumsum([n_filters * kernel_len * N_CHANNELS, n_filters, N_CLASSES * flat])
+        if flat <= 0 or vector.shape != (sizes[-1] + N_CLASSES,):
+            raise NetError("weight vector does not match the layer geometry")
+        cw, cb, dw, db = np.split(vector, sizes)
+        return cls(
+            conv_w=cw.reshape(n_filters, kernel_len, N_CHANNELS),
+            conv_b=cb,
+            dense_w=dw.reshape(N_CLASSES, flat),
+            dense_b=db,
+            pool_factor=pool_factor,
+            input_len=input_len,
+        )
+
+    def _with_vector(self, vector: np.ndarray) -> "NetworkParams":
+        """The same geometry with new weights; `vector` is taken over, not copied.
+
+        The one check is finiteness: everything else holds by construction.
+        """
+        if not np.isfinite(vector).all():
+            raise NetError("weights must be finite")
+        new = object.__new__(NetworkParams)
+        object.__setattr__(new, "pool_factor", self.pool_factor)
+        object.__setattr__(new, "input_len", self.input_len)
+        _bind(new, vector, self.shapes)
+        return new
 
     @property
     def kernel_len(self) -> int:
@@ -100,23 +164,27 @@ class NetworkParams:
     def flat_dim(self) -> int:
         return self.n_filters * self.n_regions
 
-    def arrays(self) -> Iterable[tuple[str, np.ndarray]]:
-        for name in _PARAM_FIELDS:
-            yield name, getattr(self, name)
-
 
 @dataclass(frozen=True)
-class Gradients:
-    """Loss gradients, mirroring the NetworkParams array shapes."""
+class Gradients(_WeightVector):
+    """Loss gradients, mirroring the NetworkParams array shapes and layout."""
 
     conv_w: np.ndarray
     conv_b: np.ndarray
     dense_w: np.ndarray
     dense_b: np.ndarray
+    vector: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def arrays(self) -> Iterable[tuple[str, np.ndarray]]:
-        for name in _PARAM_FIELDS:
-            yield name, getattr(self, name)
+    def __post_init__(self):
+        arrays = [np.asarray(getattr(self, name), dtype=np.float64) for name in _PARAM_FIELDS]
+        _bind(self, np.concatenate([a.ravel() for a in arrays]), [a.shape for a in arrays])
+
+    @classmethod
+    def _wrap(cls, vector: np.ndarray, shapes) -> "Gradients":
+        """Gradients over `vector` (taken over, not copied) with the given array shapes."""
+        new = object.__new__(cls)
+        _bind(new, vector, shapes)
+        return new
 
 
 @dataclass(frozen=True)
@@ -147,8 +215,8 @@ class AdamState:
 
     @classmethod
     def zeros(cls, params: NetworkParams) -> "AdamState":
-        zero = {name: np.zeros_like(arr) for name, arr in params.arrays()}
-        return cls(m=Gradients(**zero), v=Gradients(**{k: v.copy() for k, v in zero.items()}), t=0)
+        zero = Gradients._wrap(np.zeros_like(params.vector), params.shapes)
+        return cls(m=zero, v=zero, t=0)
 
 
 PHASE1_ADAM = AdamConfig(alpha=0.001, beta1=0.9, beta2=0.99, epsilon=1e-8)
@@ -189,6 +257,8 @@ class TrainConfig:
             raise NetError("batch_size must be >= 1")
         if self.keep not in ("best", "final"):
             raise NetError("keep must be 'best' or 'final'")
+        if self.kernel_len < 1 or self.pool_factor < 1:
+            raise NetError("kernel_len and pool_factor must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -242,15 +312,30 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def im2col(feats: np.ndarray, kernel_len: int) -> np.ndarray:
-    """Unfold (B, input_len, C) features into (B, positions, kernel_len*C)."""
-    view = sliding_window_view(feats, kernel_len, axis=1)  # (B, P, C, K)
-    return np.ascontiguousarray(view.transpose(0, 1, 3, 2)).reshape(
-        feats.shape[0], view.shape[1], kernel_len * feats.shape[2]
-    )
+@lru_cache(maxsize=16)
+def _tap_index(input_len: int, kernel_len: int) -> np.ndarray:
+    """(positions, kernel_len * channels) offsets into one flattened window.
+
+    Entry [p, k * channels + c] addresses sample p + k, channel c, which is
+    the im2col column layout the conv weights are reshaped to.
+    """
+    taps = np.arange(input_len - kernel_len + 1)[:, None] + np.arange(kernel_len)
+    index = (taps[:, :, None] * N_CHANNELS + np.arange(N_CHANNELS)).reshape(taps.shape[0], -1)
+    index.setflags(write=False)
+    return index
 
 
-def forward_batch(params: NetworkParams, feats: np.ndarray, cols: np.ndarray | None = None) -> ForwardCache:
+@lru_cache(maxsize=16)
+def _scatter_base(batch: int, positions: int, regions: int, pool_factor: int, filters: int) -> np.ndarray:
+    """Flat index into a (batch, positions, filters) array of offset 0 in each pool region."""
+    b = np.arange(batch)[:, None, None] * (positions * filters)
+    r = np.arange(regions)[None, :, None] * (pool_factor * filters)
+    base = b + r + np.arange(filters)
+    base.setflags(write=False)
+    return base
+
+
+def forward_batch(params: NetworkParams, feats: np.ndarray) -> ForwardCache:
     """Run the network over a (B, input_len, 2) feature stack."""
     if feats.ndim != 3 or feats.shape[1:] != (params.input_len, N_CHANNELS):
         raise NetError(
@@ -259,13 +344,19 @@ def forward_batch(params: NetworkParams, feats: np.ndarray, cols: np.ndarray | N
     B = feats.shape[0]
     F, K = params.n_filters, params.kernel_len
     R, P = params.n_regions, params.pool_factor
-    if cols is None:
-        cols = im2col(feats, K)
+    cols = np.take(feats.reshape(B, -1), _tap_index(params.input_len, K), axis=1)
     w2d = params.conv_w.reshape(F, K * N_CHANNELS)
     conv = cols @ w2d.T + params.conv_b  # (B, positions, F)
     regions = conv[:, : R * P].reshape(B, R, P, F)
-    pool_arg = regions.argmax(axis=2)  # first max wins ties
-    pool = np.take_along_axis(regions, pool_arg[:, :, None, :], axis=2)[:, :, 0, :]
+    # max over each region: a later offset takes the index only if strictly
+    # greater, so the first maximum wins ties (tied values are bit-equal, as
+    # a matmul plus bias never yields -0.0)
+    pool = regions[:, :, 0, :].copy()
+    pool_arg = np.zeros((B, R, F), dtype=np.intp)
+    for j in range(1, P):
+        cand = regions[:, :, j, :]
+        np.putmask(pool_arg, cand > pool, j)
+        np.maximum(pool, cand, out=pool)
     flat = pool.reshape(B, R * F)
     logits = flat @ params.dense_w.T + params.dense_b
     probs = softmax(logits)
@@ -295,17 +386,16 @@ def backward_batch(
     d_dense_w = dlogits.T @ cache.flat
     d_dense_b = dlogits.sum(axis=0)
     dflat = dlogits @ params.dense_w
-    dpool = dflat.reshape(B, R, F)
 
     positions = params.input_len - K + 1
     dconv = np.zeros((B, positions, F))
-    offsets = (np.arange(R) * P)[None, :, None]
-    np.put_along_axis(dconv, cache.pool_arg + offsets, dpool, axis=1)
+    # each pooled gradient goes to the position its region's maximum came from
+    np.put(dconv, _scatter_base(B, positions, R, P, F) + cache.pool_arg * F, dflat)
 
     d_w2d = dconv.reshape(-1, F).T @ cache.cols.reshape(-1, K * N_CHANNELS)
-    d_conv_w = d_w2d.reshape(F, K, N_CHANNELS)
     d_conv_b = dconv.sum(axis=(0, 1))
-    return Gradients(d_conv_w, d_conv_b, d_dense_w, d_dense_b)
+    vector = np.concatenate([d_w2d.ravel(), d_conv_b, d_dense_w.ravel(), d_dense_b])
+    return Gradients._wrap(vector, params.shapes)
 
 
 def forward(params: NetworkParams, feature: np.ndarray) -> ForwardResult:
@@ -339,26 +429,24 @@ def loss_cross_entropy(probs, truth: int) -> float:
 def adam_step(
     params: NetworkParams, grads: Gradients, state: AdamState, config: AdamConfig
 ) -> tuple[NetworkParams, AdamState]:
-    """One bias-corrected Adam update; returns fresh params and state."""
+    """One bias-corrected Adam update; returns fresh params and state.
+
+    Raises NetError if the update leaves a non-finite weight.
+    """
     t = state.t + 1
     b1, b2 = config.beta1, config.beta2
     bc1 = 1.0 - b1**t
     bc2 = 1.0 - b2**t
-    new_params: dict[str, np.ndarray] = {}
-    new_m: dict[str, np.ndarray] = {}
-    new_v: dict[str, np.ndarray] = {}
-    for name, theta in params.arrays():
-        g = getattr(grads, name)
-        m = b1 * getattr(state.m, name) + (1.0 - b1) * g
-        v = b2 * getattr(state.v, name) + (1.0 - b2) * g * g
-        m_hat = m / bc1
-        v_hat = v / bc2
-        new_params[name] = theta - config.alpha * m_hat / (np.sqrt(v_hat) + config.epsilon)
-        new_m[name] = m
-        new_v[name] = v
+    g = grads.vector
+    m = b1 * state.m.vector + (1.0 - b1) * g
+    v = b2 * state.v.vector + (1.0 - b2) * g * g
+    m_hat = m / bc1
+    v_hat = v / bc2
+    theta = params.vector - config.alpha * m_hat / (np.sqrt(v_hat) + config.epsilon)
+    shapes = params.shapes
     return (
-        replace(params, **new_params),
-        AdamState(m=Gradients(**new_m), v=Gradients(**new_v), t=t),
+        params._with_vector(theta),
+        AdamState(m=Gradients._wrap(m, shapes), v=Gradients._wrap(v, shapes), t=t),
     )
 
 
@@ -401,10 +489,6 @@ def frame_accuracy(params: NetworkParams, windows: WindowSet, chunk: int = 65536
     return correct / len(windows)
 
 
-def _clone_params(params: NetworkParams) -> NetworkParams:
-    return replace(params, **{name: arr.copy() for name, arr in params.arrays()})
-
-
 def train(
     split: DatasetSplit, config: TrainConfig = TrainConfig()
 ) -> tuple[NetworkParams, TrainHistory]:
@@ -431,8 +515,8 @@ def train(
     )
     shuffle_rng = np.random.default_rng([config.seed, 1])
     n = len(split.train)
+    features = split.train.features
     labels = split.train.labels.astype(np.int64)
-    cols_all = im2col(split.train.features, config.kernel_len)
 
     records: list[EpochRecord] = []
 
@@ -441,13 +525,24 @@ def train(
         for epoch in range(phase.epochs):
             order = shuffle_rng.permutation(n) if config.shuffle else np.arange(n)
             losses = []
-            for lo in range(0, n, config.batch_size):
+            for batch, lo in enumerate(range(0, n, config.batch_size)):
                 idx = order[lo : lo + config.batch_size]
-                cache = forward_batch(params, split.train.features[idx], cols=cols_all[idx])
+                # looked up as module globals on every call, so they can be wrapped
+                cache = forward_batch(params, features[idx])
                 p_true = cache.probs[np.arange(idx.shape[0]), labels[idx]]
-                losses.append(float(-np.log(np.maximum(p_true, PROB_FLOOR)).mean()))
+                loss = float(-np.log(np.maximum(p_true, PROB_FLOOR)).mean())
+                if not math.isfinite(loss):
+                    raise TrainingError(
+                        f"training diverged: non-finite loss in phase {phase_no}, epoch {epoch}, batch {batch}"
+                    )
+                losses.append(loss)
                 grads = backward_batch(params, cache, labels[idx], mean=True)
-                params, state = adam_step(params, grads, state, phase.adam)
+                try:
+                    params, state = adam_step(params, grads, state, phase.adam)
+                except NetError:
+                    raise TrainingError(
+                        f"training diverged: non-finite weights after phase {phase_no}, epoch {epoch}, batch {batch}"
+                    ) from None
             val_acc = frame_accuracy(params, split.validation)
             records.append(EpochRecord(phase_no, epoch, float(np.mean(losses)), val_acc))
             yield params
@@ -455,19 +550,21 @@ def train(
     best_idx = -1
     best_acc = -np.inf
     best_params = params  # initialization wins if no epoch runs
-    for params_after in run_phase(1, config.phase1, params):
-        if records[-1].val_accuracy > best_acc:
-            best_acc = records[-1].val_accuracy
-            best_idx = len(records) - 1
-            best_params = _clone_params(params_after)
+    # a diverging run overflows before it is caught as non-finite: no warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for params_after in run_phase(1, config.phase1, params):
+            if records[-1].val_accuracy > best_acc:
+                best_acc = records[-1].val_accuracy
+                best_idx = len(records) - 1
+                best_params = params_after
 
-    final_params = _clone_params(best_params)
-    for params_after in run_phase(2, config.phase2, final_params):
-        final_params = params_after
-        if records[-1].val_accuracy > best_acc:
-            best_acc = records[-1].val_accuracy
-            best_idx = len(records) - 1
-            best_params = _clone_params(params_after)
+        final_params = best_params
+        for params_after in run_phase(2, config.phase2, final_params):
+            final_params = params_after
+            if records[-1].val_accuracy > best_acc:
+                best_acc = records[-1].val_accuracy
+                best_idx = len(records) - 1
+                best_params = params_after
 
     history = TrainHistory(records=tuple(records), best_epoch=best_idx)
     returned = final_params if config.keep == "final" else best_params

@@ -16,7 +16,7 @@ import numpy as np
 
 from .detectors import BaselineConfig
 from .features import FrontendConfig
-from .net import AdamConfig, PhaseConfig, TrainConfig
+from .net import AdamConfig, PhaseConfig, TrainConfig, flattened_dim
 from .simulate import StimulusConfig
 
 
@@ -184,6 +184,11 @@ def build_run_config(values: dict[str, dict[str, object]], seed: int = 0) -> Run
             pool_factor=int(network.pop("pool_factor", defaults.pool_factor)),
             keep=str(training.pop("keep", defaults.keep)),
         )
+        if flattened_dim(frontend.window_len, train.kernel_len, train.pool_factor) <= 0:
+            raise ConfigError(
+                f"[network] kernel_len = {train.kernel_len} and pool_factor = {train.pool_factor} "
+                f"leave no pooled output for [frontend] window_len = {frontend.window_len}"
+            )
 
         baselines = BaselineConfig(**values.get("baselines", {}))
 

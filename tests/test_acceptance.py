@@ -2,8 +2,8 @@
 
 Each test prints a `[criterion N] PASS ...` line with the measured values;
 run with `pytest -v -s tests/test_acceptance.py` to see them. The two
-training-based criteria share a module-scoped pipeline fixture and together
-take a few minutes; everything else is fast.
+training-based criteria share a module-scoped pipeline fixture, together
+take a few minutes and carry the `slow` marker; everything else is fast.
 """
 import time
 from dataclasses import replace
@@ -402,6 +402,7 @@ def learning_pipeline(tmp_path_factory):
     }
 
 
+@pytest.mark.slow
 def test_criterion_07_end_to_end_learning_gate(learning_pipeline):
     lp = learning_pipeline
     assert 80_000 <= lp["n_frames"] <= 120_000
@@ -420,6 +421,7 @@ def test_criterion_07_end_to_end_learning_gate(learning_pipeline):
     )
 
 
+@pytest.mark.slow
 def test_criterion_08_training_determinism(learning_pipeline):
     lp = learning_pipeline
     params_b, _ = train(lp["split"], TrainConfig(seed=ACCEPT_SEED))

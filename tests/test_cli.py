@@ -128,6 +128,24 @@ class TestTrainDetectEvalTrace:
         assert np.array_equal(replay.sample_idx, preds.sample_idx)
         assert np.array_equal(replay.scores, preds.scores)
 
+    def test_model_window_len_mismatch_exit2(self, pipeline, tmp_path, capsys):
+        data, model = pipeline
+        cfg = tmp_path / "w20.cfg"
+        cfg.write_text("[frontend]\nwindow_len = 20\n")
+        seq_file = sorted(data.glob("seq-*.csv"))[0]
+        capsys.readouterr()
+        code = main(["detect", "--model", str(model), "--in", str(seq_file), "--out", str(tmp_path / "p.csv"),
+                     "--config", str(cfg)])
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "30" in err[0] and "window_len is 20" in err[0]
+        assert not (tmp_path / "p.csv").exists()
+        code = main(["compare", "--data-dir", str(data), "--model", str(model), "--report-dir",
+                     str(tmp_path / "cmp"), "--config", str(cfg)])
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "30" in err[0] and "window_len is 20" in err[0]
+
     def test_detect_baseline(self, pipeline, tmp_path, tiny_config):
         data, _ = pipeline
         seq_file = sorted(data.glob("seq-*.csv"))[0]
@@ -307,6 +325,31 @@ class TestDataErrors:
         write_gaze_csv(seq, data / "seq-0000.csv")
         code = main(["train", "--data-dir", str(data), "--config", tiny_config, "--out", str(tmp_path / "m.gznn")])
         assert code == 3
+
+    def test_train_divergence_exit3_writes_no_model(self, tmp_path, tiny_config, capsys):
+        data = synth(tmp_path, tiny_config, n=4, seed=5)
+        cfg = tmp_path / "hot.cfg"
+        cfg.write_text(TINY_CONFIG.replace("[training]", "[training]\nphase1_alpha = 1e300"))
+        model = tmp_path / "m.gznn"
+        capsys.readouterr()
+        code = main(["train", "--data-dir", str(data), "--config", str(cfg), "--out", str(model), "--seed", "5"])
+        assert code == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert "diverged" in err[0] and "phase 1, epoch 0, batch" in err[0]
+        assert not model.exists()
+        assert not Path(f"{model}.history.csv").exists()
+
+    def test_network_geometry_rejected_exit2(self, tmp_path, tiny_config, capsys):
+        data = synth(tmp_path, tiny_config, n=4, seed=5)
+        cfg = tmp_path / "k30.cfg"
+        cfg.write_text(TINY_CONFIG + "\n[network]\nkernel_len = 30\n")
+        capsys.readouterr()
+        code = main(["train", "--data-dir", str(data), "--config", str(cfg), "--out", str(tmp_path / "m.gznn")])
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "kernel_len = 30" in err[0] and "window_len = 30" in err[0]
+        assert not (tmp_path / "m.gznn").exists()
 
     def test_unknown_config_key_exit2(self, tmp_path):
         cfg = tmp_path / "bad.cfg"

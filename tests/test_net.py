@@ -1,7 +1,10 @@
+import itertools
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from gazeflow.gaze import DatasetSplit, WindowSet
 from gazeflow.net import (
@@ -389,3 +392,239 @@ class TestTrain:
         )
         with pytest.raises(TrainingError):
             train(DatasetSplit(train=ws, validation=empty, test=empty))
+
+
+# ---------------------------------------------------------------------------
+# the earlier array-by-array implementation, kept as the oracle that the
+# one-vector, per-batch-im2col code must match bit for bit
+
+
+def oracle_forward(params, feats):
+    """im2col by sliding_window_view, pooling by argmax + take_along_axis."""
+    B = feats.shape[0]
+    F, K = params.n_filters, params.kernel_len
+    R, P = params.n_regions, params.pool_factor
+    view = sliding_window_view(feats, K, axis=1)  # (B, positions, C, K)
+    cols = np.ascontiguousarray(view.transpose(0, 1, 3, 2)).reshape(B, view.shape[1], K * 2)
+    conv = cols @ params.conv_w.reshape(F, K * 2).T + params.conv_b
+    regions = conv[:, : R * P].reshape(B, R, P, F)
+    pool_arg = regions.argmax(axis=2)
+    pool = np.take_along_axis(regions, pool_arg[:, :, None, :], axis=2)[:, :, 0, :]
+    flat = pool.reshape(B, R * F)
+    logits = flat @ params.dense_w.T + params.dense_b
+    return cols, pool_arg, flat, logits, softmax(logits)
+
+
+def oracle_backward(params, cols, pool_arg, flat, probs, truths):
+    """Batch-mean gradient with the pool scatter done by put_along_axis."""
+    B = probs.shape[0]
+    F, K = params.n_filters, params.kernel_len
+    R, P = params.n_regions, params.pool_factor
+    dlogits = probs.copy()
+    dlogits[np.arange(B), truths] -= 1.0
+    dlogits /= B
+    d_dense_w = dlogits.T @ flat
+    d_dense_b = dlogits.sum(axis=0)
+    dpool = (dlogits @ params.dense_w).reshape(B, R, F)
+    dconv = np.zeros((B, params.input_len - K + 1, F))
+    offsets = (np.arange(R) * P)[None, :, None]
+    np.put_along_axis(dconv, pool_arg + offsets, dpool, axis=1)
+    d_conv_w = (dconv.reshape(-1, F).T @ cols.reshape(-1, K * 2)).reshape(F, K, 2)
+    d_conv_b = dconv.sum(axis=(0, 1))
+    return {"conv_w": d_conv_w, "conv_b": d_conv_b, "dense_w": d_dense_w, "dense_b": d_dense_b}
+
+
+def oracle_adam(theta, m, v, g, t, config):
+    """Per-array Adam update, in the same expression order, as dicts by name."""
+    b1, b2 = config.beta1, config.beta2
+    bc1 = 1.0 - b1**t
+    bc2 = 1.0 - b2**t
+    out_theta, out_m, out_v = {}, {}, {}
+    for name in theta:
+        m_new = b1 * m[name] + (1.0 - b1) * g[name]
+        v_new = b2 * v[name] + (1.0 - b2) * g[name] * g[name]
+        m_hat = m_new / bc1
+        v_hat = v_new / bc2
+        out_theta[name] = theta[name] - config.alpha * m_hat / (np.sqrt(v_hat) + config.epsilon)
+        out_m[name], out_v[name] = m_new, v_new
+    return out_theta, out_m, out_v
+
+
+def bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
+
+
+def tied_params(seed, kernel_len, pool_factor):
+    """Weights on a coarse grid, so that conv outputs repeat exactly."""
+    p = init_params(seed, kernel_len=kernel_len, pool_factor=pool_factor)
+    rng = np.random.default_rng(seed)
+    return replace(
+        p,
+        conv_w=np.round(p.conv_w * 4) / 4,
+        conv_b=rng.integers(-2, 3, p.conv_b.shape) / 4,
+        dense_w=np.round(p.dense_w * 8) / 8,
+        dense_b=rng.integers(-2, 3, 3) / 8,
+    )
+
+
+def tied_features(rng, B):
+    """Small-integer features, piecewise constant in time, with all-zero windows."""
+    steps = rng.integers(0, 3, size=(B, 30, 2)).astype(np.float64)
+    hold = rng.random((B, 30, 1)) < 0.6
+    for i in range(1, 30):
+        steps[:, i] = np.where(hold[:, i], steps[:, i - 1], steps[:, i])
+    steps[:: max(B // 4, 1)] = 0.0
+    return steps
+
+
+GEOMETRIES = [
+    (B, K, P)
+    for B, K, P in itertools.product((1, 64, 1000), (1, 10, 30), (1, 5, 7))
+    if flattened_dim(30, K, P) > 0
+]
+
+
+class TestAgainstArrayOracle:
+    @pytest.mark.parametrize("B,kernel_len,pool_factor", GEOMETRIES)
+    def test_forward_backward_bit_identical(self, B, kernel_len, pool_factor):
+        rng = np.random.default_rng([B, kernel_len, pool_factor])
+        params = tied_params(B + kernel_len + pool_factor, kernel_len, pool_factor)
+        feats = tied_features(rng, B)
+        truths = rng.integers(0, 3, B)
+
+        cache = forward_batch(params, feats)
+        cols, pool_arg, flat, logits, probs = oracle_forward(params, feats)
+        assert np.array_equal(cache.cols, cols)
+        assert np.array_equal(cache.pool_arg, pool_arg)
+        for got, want in ((cache.flat, flat), (cache.logits, logits), (cache.probs, probs)):
+            assert np.array_equal(bits(got), bits(want))
+
+        grads = backward_batch(params, cache, truths, mean=True)
+        want = oracle_backward(params, cols, pool_arg, flat, probs, truths)
+        for name, arr in grads.arrays():
+            assert np.array_equal(bits(arr), bits(want[name])), name
+
+        if pool_factor > 1:
+            # the rounded inputs must exercise tied maxima
+            conv = cols @ params.conv_w.reshape(params.n_filters, -1).T + params.conv_b
+            R = params.n_regions
+            regions = conv[:, : R * pool_factor].reshape(B, R, pool_factor, -1)
+            at_max = (regions == regions.max(axis=2, keepdims=True)).sum(axis=2)
+            assert (at_max > 1).any()
+
+    @pytest.mark.parametrize("config", [PHASE1_ADAM, PHASE2_ADAM], ids=["phase1", "phase2"])
+    def test_twenty_adam_steps_bit_identical(self, config):
+        rng = np.random.default_rng(77)
+        params = init_params(5)
+        state = AdamState.zeros(params)
+        theta = {name: arr.copy() for name, arr in params.arrays()}
+        m = {name: np.zeros_like(arr) for name, arr in params.arrays()}
+        v = {name: np.zeros_like(arr) for name, arr in params.arrays()}
+        for t in range(1, 21):
+            g = {name: rng.normal(scale=10.0 ** rng.integers(-6, 2), size=arr.shape) for name, arr in theta.items()}
+            params, state = adam_step(params, Gradients(**g), state, config)
+            theta, m, v = oracle_adam(theta, m, v, g, t, config)
+            assert state.t == t
+            for name in theta:
+                assert np.array_equal(bits(getattr(params, name)), bits(theta[name]))
+                assert np.array_equal(bits(getattr(state.m, name)), bits(m[name]))
+                assert np.array_equal(bits(getattr(state.v, name)), bits(v[name]))
+
+    def test_weight_views_are_read_only(self):
+        params = init_params(3)
+        grads = backward_batch(params, forward_batch(params, np.ones((2, 30, 2))), np.array([0, 1]))
+        for holder in (params, grads, AdamState.zeros(params).m):
+            assert not holder.vector.flags.writeable
+            for name, arr in holder.arrays():
+                assert np.shares_memory(arr, holder.vector), name
+                assert not arr.flags.writeable, name
+                with pytest.raises(ValueError):
+                    arr[(0,) * arr.ndim] = 1.0
+                with pytest.raises(ValueError):
+                    arr.setflags(write=True)
+        assert params.vector.shape == (333,)
+        assert np.array_equal(params.vector[-3:], params.dense_b)
+
+    def test_constructor_copies_its_inputs(self):
+        conv_w = np.zeros((10, 10, 2))
+        params = NetworkParams(conv_w=conv_w, conv_b=np.zeros(10), dense_w=np.zeros((3, 40)), dense_b=np.zeros(3))
+        conv_w[0, 0, 0] = 5.0
+        assert params.conv_w[0, 0, 0] == 0.0
+
+    def test_from_vector_round_trip(self):
+        params = init_params(4, kernel_len=5, pool_factor=7)
+        back = NetworkParams.from_vector(params.vector, kernel_len=5, pool_factor=7, input_len=30)
+        assert np.array_equal(back.vector, params.vector)
+        assert not np.shares_memory(back.vector, params.vector)
+        with pytest.raises(NetError):
+            NetworkParams.from_vector(params.vector[:-1], kernel_len=5, pool_factor=7, input_len=30)
+
+
+def seeded_split(n_train, n_val, seed=0):
+    rng = np.random.default_rng(seed)
+
+    def part(n):
+        return WindowSet(
+            np.abs(rng.normal(size=(n, 30, 2))),
+            rng.integers(0, 3, n).astype(np.int8),
+            np.zeros(n, dtype=np.int64),
+        )
+
+    return DatasetSplit(train=part(n_train), validation=part(n_val), test=part(1))
+
+
+class TestTrainResources:
+    def test_peak_memory_scales_with_batch_not_training_set(self):
+        # im2col of every training window at once would need about 7x the
+        # training features; per-batch columns stay well under 3x
+        split = seeded_split(20_000, 2_000)
+        cfg = TrainConfig(phase1=PhaseConfig(1, PHASE1_ADAM), phase2=PhaseConfig(0, PHASE2_ADAM), seed=4)
+        tracemalloc.start()
+        try:
+            train(split, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * split.train.features.nbytes
+
+    def test_divergence_raises_training_error(self):
+        split = seeded_split(256, 64)
+        hot = AdamConfig(alpha=1e300, beta1=0.9, beta2=0.99, epsilon=1e-8)
+        cfg = TrainConfig(phase1=PhaseConfig(2, hot), phase2=PhaseConfig(1, PHASE2_ADAM), seed=1)
+        with pytest.raises(TrainingError, match=r"phase 1, epoch 0, batch \d+"):
+            train(split, cfg)
+
+    def test_non_finite_update_names_the_step(self, monkeypatch):
+        import gazeflow.net as net
+
+        real_adam_step = net.adam_step
+        calls = []
+
+        def poisoned(params, grads, state, config):
+            calls.append(1)
+            if len(calls) == 7:
+                grads = Gradients._wrap(np.full_like(grads.vector, np.nan), params.shapes)
+            return real_adam_step(params, grads, state, config)
+
+        monkeypatch.setattr(net, "adam_step", poisoned)
+        split = seeded_split(256, 64)
+        cfg = TrainConfig(phase1=PhaseConfig(1, PHASE1_ADAM), phase2=PhaseConfig(1, PHASE2_ADAM), seed=1)
+        with pytest.raises(TrainingError, match="non-finite weights after phase 2, epoch 0, batch 2"):
+            train(split, cfg)
+
+    def test_train_calls_the_module_level_steps(self, monkeypatch):
+        import gazeflow.net as net
+
+        seen = {}
+        for name in ("forward_batch", "backward_batch", "adam_step", "frame_accuracy"):
+            fn = getattr(net, name)
+
+            def counted(*args, _fn=fn, _name=name, **kwargs):
+                seen[_name] = seen.get(_name, 0) + 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(net, name, counted)
+        split = seeded_split(130, 10)
+        cfg = TrainConfig(phase1=PhaseConfig(1, PHASE1_ADAM), phase2=PhaseConfig(1, PHASE2_ADAM), seed=1)
+        train(split, cfg)
+        assert seen == {"forward_batch": 8, "backward_batch": 6, "adam_step": 6, "frame_accuracy": 2}

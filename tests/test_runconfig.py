@@ -128,3 +128,14 @@ class TestLoadRunConfig:
         assert cfg.train.phase1.epochs == 100
         assert cfg.train.phase2.epochs == 200
         assert cfg.train.phase2.adam.beta2 == 0.1
+
+
+@pytest.mark.parametrize(
+    "network",
+    ["kernel_len = 30", "kernel_len = 31", "kernel_len = 0", "pool_factor = 0", "pool_factor = 22"],
+)
+def test_network_geometry_checked_against_window_len(tmp_path, network):
+    p = tmp_path / "net.cfg"
+    p.write_text(f"[network]\n{network}\n")
+    with pytest.raises(ConfigError):
+        load_run_config(p)
