@@ -10,7 +10,6 @@ from .gaze import (
     DatasetSplit,
     Event,
     GazeDataError,
-    GazeSample,
     GazeSequence,
     LabelClass,
     LabelTilingError,
@@ -22,14 +21,10 @@ from .gaze import (
 )
 from .features import (
     FeatureError,
-    FeatureMatrix,
     FrontendConfig,
-    RawWindow,
     build_window_set,
-    extract_windows,
     featurize_sequence,
     fft_magnitude,
-    make_feature,
 )
 from .net import (
     AdamConfig,
@@ -65,7 +60,6 @@ from .detectors import (
     ivt_detect,
     ivt_idt_detect,
     pca_ratio_detect,
-    velocity,
 )
 from .simulate import (
     FixateAt,

@@ -8,7 +8,6 @@ GAZEFLOW_SEED environment variable, then to 0.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -38,8 +37,11 @@ from .gaze import (
 )
 from .gaze_io import (
     DataFormatError,
+    float_fields,
+    int_fields,
     read_gaze_csv,
     read_predictions_csv,
+    write_csv,
     write_gaze_csv,
     write_history_csv,
     write_manifest,
@@ -57,7 +59,7 @@ from .metrics import (
 )
 from .model_io import ModelFileError, load_model, save_model
 from .net import NetworkParams, TrainingError, train
-from .runconfig import ConfigError, RunConfig, load_run_config
+from .runconfig import ConfigError, RunConfig, build_run_config, load_run_config
 from .simulate import SimulationError, corpus_stats, generate_corpus
 from .tuning import tune_baselines
 
@@ -87,15 +89,7 @@ def _resolve_seed(value: int | None) -> int:
 
 def _load_config(path: str | None, seed: int) -> RunConfig:
     if path is None:
-        cfg = RunConfig()
-        # thread the seed through the default configs
-        from dataclasses import replace
-
-        return replace(
-            cfg,
-            train=replace(cfg.train, seed=seed),
-            stimulus=replace(cfg.stimulus, seed=seed),
-        )
+        return build_run_config({}, seed=seed)
     if not Path(path).is_file():
         raise CliError(EXIT_USAGE, f"config file not found: {path}")
     return load_run_config(path, seed=seed)
@@ -126,10 +120,6 @@ def _load_model(path: str, frontend: FrontendConfig) -> NetworkParams:
             f"but [frontend] window_len is {frontend.window_len}",
         )
     return model
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +164,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     write_history_csv(history.records, str(args.out) + ".history.csv")
     best = max((r.val_accuracy for r in history.records), default=float("nan"))
     print(f"model written to {args.out}")
-    print(f"best_val_accuracy={_fmt(best)}")
+    print(f"best_val_accuracy={float(best)!r}")
     return EXIT_OK
 
 
@@ -213,72 +203,51 @@ def _eval_reports(
     acc = frame_accuracy(preds, truth)
 
     report_dir.mkdir(parents=True, exist_ok=True)
+    names = list(CLASS_NAMES)
     norm = cm.row_normalized
-    with open(report_dir / "confusion.csv", "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["truth"] + [f"pred_{c}" for c in CLASS_NAMES] + [f"norm_{c}" for c in CLASS_NAMES])
-        for i, name in enumerate(CLASS_NAMES):
-            w.writerow([name] + [int(v) for v in cm.counts[i]] + [_fmt(v) for v in norm[i]])
-
-    with open(report_dir / "prf.csv", "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["class", "accuracy", "precision", "recall", "f1"])
-        for i, name in enumerate(CLASS_NAMES):
-            w.writerow(
-                [name]
-                + [_fmt(v) for v in (report.accuracy[i], report.precision[i], report.recall[i], report.f1[i])]
-            )
-        w.writerow(
-            ["average"]
-            + [_fmt(v) for v in (report.macro_accuracy, report.macro_precision, report.macro_recall, report.macro_f1)]
-        )
-
+    write_csv(
+        report_dir / "confusion.csv",
+        ["truth"] + [f"pred_{c}" for c in names] + [f"norm_{c}" for c in names],
+        [names, *(int_fields(col) for col in cm.counts.T), *(float_fields(col) for col in norm.T)],
+    )
+    measures = ("accuracy", "precision", "recall", "f1")
+    write_csv(
+        report_dir / "prf.csv",
+        ["class", *measures],
+        [names + ["average"]]
+        + [float_fields([*getattr(report, m), getattr(report, f"macro_{m}")]) for m in measures],
+    )
     for cls, curve in zip(LabelClass, ova.curves):
-        with open(report_dir / f"roc_{CLASS_NAMES[cls]}.csv", "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(["fpr", "tpr"])
-            for fpr, tpr in zip(curve.fpr, curve.tpr):
-                w.writerow([_fmt(fpr), _fmt(tpr)])
-
-    with open(report_dir / "event_majority.csv", "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["truth"] + list(CLASS_NAMES) + ["no_majority", "n_events"])
-        for i, name in enumerate(CLASS_NAMES):
-            w.writerow(
-                [name]
-                + [_fmt(v) for v in ev_table.fractions[i]]
-                + [_fmt(ev_table.no_majority[i]), int(ev_table.event_counts[i])]
-            )
-
-    with open(report_dir / "confidence.csv", "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["class", "min_probability", "accuracy", "support"])
-        for cls, bins in conf_bins.items():
-            for b in bins:
-                w.writerow([CLASS_NAMES[cls], _fmt(b.threshold), _fmt(b.accuracy), b.support])
+        roc = [float_fields(curve.fpr), float_fields(curve.tpr)]
+        write_csv(report_dir / f"roc_{CLASS_NAMES[cls]}.csv", ["fpr", "tpr"], roc)
+    write_csv(
+        report_dir / "event_majority.csv",
+        ["truth"] + names + ["no_majority", "n_events"],
+        [
+            names,
+            *(float_fields(col) for col in ev_table.fractions.T),
+            float_fields(ev_table.no_majority),
+            int_fields(ev_table.event_counts),
+        ],
+    )
+    bins = [(CLASS_NAMES[cls], b) for cls, class_bins in conf_bins.items() for b in class_bins]
+    write_csv(
+        report_dir / "confidence.csv",
+        ["class", "min_probability", "accuracy", "support"],
+        [
+            [name for name, _ in bins],
+            float_fields([b.threshold for _, b in bins]),
+            float_fields([b.accuracy for _, b in bins]),
+            int_fields([b.support for _, b in bins]),
+        ],
+    )
 
     summary = {
-        "auc": {
-            "fixation": ova.curves[0].auc,
-            "saccade": ova.curves[1].auc,
-            "pursuit": ova.curves[2].auc,
-            "mean": ova.mean_auc,
-        },
+        "auc": {**{name: c.auc for name, c in zip(CLASS_NAMES, ova.curves)}, "mean": ova.mean_auc},
         "frame_accuracy": acc,
-        "macro": {
-            "accuracy": report.macro_accuracy,
-            "precision": report.macro_precision,
-            "recall": report.macro_recall,
-            "f1": report.macro_f1,
-        },
+        "macro": {m: getattr(report, f"macro_{m}") for m in measures},
         "per_class": {
-            CLASS_NAMES[i]: {
-                "accuracy": float(report.accuracy[i]),
-                "precision": float(report.precision[i]),
-                "recall": float(report.recall[i]),
-                "f1": float(report.f1[i]),
-            }
-            for i in range(3)
+            name: {m: float(getattr(report, m)[i]) for m in measures} for i, name in enumerate(CLASS_NAMES)
         },
         "covered_samples": int(preds.sample_idx.shape[0]),
         "total_samples": int(preds.n_samples),
@@ -302,7 +271,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         )
     summary = _eval_reports(preds, truth_seq, Path(args.report_dir), cfg.evaluation.thresholds)
     print(f"reports written to {args.report_dir}")
-    print(f"mean_auc={_fmt(summary['auc']['mean'])} macro_f1={_fmt(summary['macro']['f1'])}")
+    print(f"mean_auc={float(summary['auc']['mean'])!r} macro_f1={float(summary['macro']['f1'])!r}")
     return EXIT_OK
 
 
@@ -356,12 +325,12 @@ def cmd_compare(args: argparse.Namespace) -> int:
     rows.sort(key=lambda r: -r["mean_auc"])
     report_dir = Path(args.report_dir)
     report_dir.mkdir(parents=True, exist_ok=True)
-    with open(report_dir / "comparison.csv", "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        cols = ["detector", "auc_fixation", "auc_saccade", "auc_pursuit", "mean_auc", "macro_f1", "frame_accuracy"]
-        w.writerow(cols)
-        for r in rows:
-            w.writerow([r["detector"]] + [_fmt(r[c]) for c in cols[1:]])
+    cols = ["detector", "auc_fixation", "auc_saccade", "auc_pursuit", "mean_auc", "macro_f1", "frame_accuracy"]
+    write_csv(
+        report_dir / "comparison.csv",
+        cols,
+        [[r["detector"] for r in rows]] + [float_fields([r[c] for r in rows]) for c in cols[1:]],
+    )
     tuned_path = report_dir / "tuned_thresholds.json"
     tuned_path.write_text(
         json.dumps(

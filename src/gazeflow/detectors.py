@@ -131,17 +131,6 @@ def cnn_detect(
 # velocity
 
 
-def velocity(seq: GazeSequence, i: int) -> float:
-    """Central-difference gaze speed at sample i, in degrees per second."""
-    n = len(seq)
-    if not 1 <= i <= n - 2:
-        raise DetectorError(f"velocity undefined at boundary index {i}")
-    dt_s = (seq.t_ms[i + 1] - seq.t_ms[i - 1]) / 1000.0
-    dx = seq.x_deg[i + 1] - seq.x_deg[i - 1]
-    dy = seq.y_deg[i + 1] - seq.y_deg[i - 1]
-    return float(np.hypot(dx, dy) / dt_s)
-
-
 def _velocity_array(t_ms: np.ndarray, x: np.ndarray, y: np.ndarray, bad: np.ndarray) -> np.ndarray:
     """Central-difference speeds; NaN at boundaries and next to bad samples."""
     n = x.shape[0]

@@ -12,7 +12,6 @@ magnitudes are reproducible bit-for-bit across implementations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -51,40 +50,6 @@ class FrontendConfig:
             raise FeatureError("interp_max_gap must be >= 0")
 
 
-@dataclass(frozen=True)
-class RawWindow:
-    """One window of raw gaze coordinates, in degrees."""
-
-    xs: np.ndarray
-    ys: np.ndarray
-    center_idx: int
-
-    def __post_init__(self):
-        xs = np.asarray(self.xs, dtype=np.float64)
-        ys = np.asarray(self.ys, dtype=np.float64)
-        if xs.ndim != 1 or xs.shape != ys.shape:
-            raise FeatureError("window channels must be equal-length vectors")
-        if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
-            raise FeatureError("window values must be finite")
-        object.__setattr__(self, "xs", xs)
-        object.__setattr__(self, "ys", ys)
-
-
-@dataclass(frozen=True)
-class FeatureMatrix:
-    """(window_len, 2) per-channel DFT magnitudes; channel 0 is horizontal."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim != 2 or v.shape[1] != 2:
-            raise FeatureError("feature matrix must have shape (window_len, 2)")
-        if not np.isfinite(v).all() or (v < 0).any():
-            raise FeatureError("feature values must be finite and non-negative")
-        object.__setattr__(self, "values", v)
-
-
 def fft_magnitude(signal: np.ndarray) -> np.ndarray:
     """Magnitude of the unnormalized forward DFT of a real signal.
 
@@ -97,19 +62,6 @@ def fft_magnitude(signal: np.ndarray) -> np.ndarray:
     if not np.isfinite(x).all():
         raise FeatureError("signal must be finite")
     return np.abs(np.fft.fft(x))
-
-
-def make_feature(window: RawWindow, config: FrontendConfig = FrontendConfig()) -> FeatureMatrix:
-    """Encode one raw window as a feature matrix."""
-    if window.xs.shape[0] != config.window_len:
-        raise FeatureError(
-            f"window length {window.xs.shape[0]} != configured {config.window_len}"
-        )
-    xs, ys = window.xs, window.ys
-    if config.demean:
-        xs = xs - xs.mean()
-        ys = ys - ys.mean()
-    return FeatureMatrix(np.stack([fft_magnitude(xs), fft_magnitude(ys)], axis=1))
 
 
 def repair_sequence(seq: GazeSequence, max_gap: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -199,15 +151,6 @@ def featurize_sequence(
     feats = np.stack([np.abs(np.fft.fft(wx, axis=1)), np.abs(np.fft.fft(wy, axis=1))], axis=2)
     centers = starts + config.center_offset
     return centers, feats
-
-
-def extract_windows(
-    seq: GazeSequence, config: FrontendConfig = FrontendConfig()
-) -> Iterator[tuple[int, FeatureMatrix]]:
-    """Stream (center_idx, FeatureMatrix) pairs for a sequence."""
-    centers, feats = featurize_sequence(seq, config)
-    for c, f in zip(centers, feats):
-        yield int(c), FeatureMatrix(f)
 
 
 def build_window_set(

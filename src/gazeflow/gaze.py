@@ -1,4 +1,4 @@
-"""Core gaze-domain types: samples, sequences, labels, events, dataset splits.
+"""Core gaze-domain types: sequences, labels, events, dataset splits.
 
 Everything here is an immutable value type plus a few pure functions; the
 heavier numerics live in the other modules.
@@ -41,16 +41,6 @@ class LabelTilingError(GazeDataError):
         self.kind = kind
         self.index = index
         super().__init__(f"event tiling {kind} at sample index {index}")
-
-
-@dataclass(frozen=True)
-class GazeSample:
-    """One timestamped 2-D point of regard, in degrees of visual angle."""
-
-    t_ms: float
-    x_deg: float
-    y_deg: float
-    valid: bool = True
 
 
 @dataclass(frozen=True)
@@ -97,30 +87,6 @@ class GazeSequence:
 
     def __len__(self) -> int:
         return self.t_ms.shape[0]
-
-    @property
-    def points(self) -> np.ndarray:
-        """(n, 2) array of x/y coordinates."""
-        return np.stack([self.x_deg, self.y_deg], axis=1)
-
-    def sample(self, i: int) -> GazeSample:
-        return GazeSample(
-            float(self.t_ms[i]), float(self.x_deg[i]), float(self.y_deg[i]), bool(self.valid[i])
-        )
-
-    @classmethod
-    def from_samples(
-        cls,
-        samples: Sequence[GazeSample],
-        labels: Iterable[LabelClass] | None = None,
-        source_id: str = "",
-    ) -> "GazeSequence":
-        t = np.array([s.t_ms for s in samples], dtype=np.float64)
-        x = np.array([s.x_deg for s in samples], dtype=np.float64)
-        y = np.array([s.y_deg for s in samples], dtype=np.float64)
-        v = np.array([s.valid for s in samples], dtype=bool)
-        lab = None if labels is None else np.array([int(c) for c in labels], dtype=np.int8)
-        return cls(t, x, y, v, lab, source_id)
 
 
 @dataclass(frozen=True)

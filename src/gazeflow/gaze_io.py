@@ -1,8 +1,11 @@
 """CSV and JSON file formats for gaze data, predictions and reports.
 
-Gaze CSV: header `t_ms,x_deg,y_deg,valid,label`, UTF-8, one record per
-line, decimal point, valid as 0/1, label empty or a class code 0/1/2.
-Floats are written with repr() so a write/read round trip is lossless.
+Every CSV is UTF-8 with a header line; rows end in CRLF and no field is
+quoted. Floats are written with repr() so a write/read round trip is
+lossless, integers with str(), and an empty field stands for no value.
+
+Gaze CSV: header `t_ms,x_deg,y_deg,valid,label`, one record per line,
+decimal point, valid as 0/1, label empty or a class code 0/1/2.
 
 Prediction CSV: header `sample_idx,p_fix,p_sac,p_pur,label,covered`, one
 row per sample of the source sequence; uncovered rows leave the score and
@@ -13,6 +16,7 @@ from __future__ import annotations
 import csv
 import json
 from pathlib import Path
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -22,37 +26,67 @@ from .gaze import GazeSequence, N_CLASSES
 GAZE_HEADER = ["t_ms", "x_deg", "y_deg", "valid", "label"]
 PRED_HEADER = ["sample_idx", "p_fix", "p_sac", "p_pur", "label", "covered"]
 TRACE_HEADER = ["t_ms", "x_deg", "y_deg", "p_fix", "p_sac", "p_pur", "truth", "pred"]
+HISTORY_HEADER = ["phase", "epoch", "train_loss", "val_accuracy"]
 
 
 class DataFormatError(ValueError):
     """A file does not conform to its declared schema."""
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def float_fields(values: Iterable[float]) -> Iterator[str]:
+    """CSV fields of floats: repr() of each value, lossless on reading back."""
+    return map(repr, np.asarray(values, dtype=np.float64).tolist())
+
+
+def int_fields(values: Iterable[int]) -> Iterator[str]:
+    """CSV fields of integers (or booleans, as 0/1)."""
+    return map(str, np.asarray(values, dtype=np.int64).tolist())
+
+
+def write_csv(path: str | Path, header: Sequence[str], columns: Sequence[Iterable[str]]) -> None:
+    """Write equal-length columns of already-formatted fields as CSV rows.
+
+    The columns are read one row at a time, so they may be iterators that
+    format each field on demand. Rows end in CRLF, as csv.writer ends them.
+    Fields are written as given, so none may hold a comma, a quote or a
+    line break.
+    """
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(",".join(row) + "\r\n" for row in zip(*columns, strict=True))
+
+
+def _covered_columns(preds: DetectorOutput) -> list[Iterator[str]]:
+    """p_fix, p_sac, p_pur and label fields of every sample; empty where uncovered."""
+    covered = preds.covered.tolist()
+
+    def column(fields: Iterator[str]) -> Iterator[str]:
+        return (next(fields) if c else "" for c in covered)  # sample_idx is increasing
+
+    return [column(f) for f in (*map(float_fields, preds.scores.T), int_fields(preds.labels))]
+
+
+def _label_column(seq: GazeSequence) -> Iterable[str]:
+    return [""] * len(seq) if seq.labels is None else int_fields(seq.labels)
 
 
 def write_gaze_csv(seq: GazeSequence, path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(GAZE_HEADER)
-        labels = seq.labels
-        for i in range(len(seq)):
-            writer.writerow(
-                [
-                    _fmt(seq.t_ms[i]),
-                    _fmt(seq.x_deg[i]),
-                    _fmt(seq.y_deg[i]),
-                    int(seq.valid[i]),
-                    "" if labels is None else int(labels[i]),
-                ]
-            )
+    coords = map(float_fields, (seq.t_ms, seq.x_deg, seq.y_deg))
+    write_csv(path, GAZE_HEADER, [*coords, int_fields(seq.valid), _label_column(seq)])
+
+
+def _csv_rows(fh, path: Path) -> Iterator[list[str]]:
+    """csv.reader over fh; bytes that are not UTF-8 or CSV raise DataFormatError."""
+    try:
+        yield from csv.reader(fh)
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise DataFormatError(f"{path}: {exc}") from None
 
 
 def read_gaze_csv(path: str | Path, source_id: str | None = None) -> GazeSequence:
     path = Path(path)
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+        reader = _csv_rows(fh, path)
         try:
             header = next(reader)
         except StopIteration:
@@ -97,26 +131,14 @@ def read_gaze_csv(path: str | Path, source_id: str | None = None) -> GazeSequenc
 
 
 def write_predictions_csv(preds: DetectorOutput, path: str | Path) -> None:
-    covered = preds.covered
-    by_idx = {int(i): k for k, i in enumerate(preds.sample_idx)}
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(PRED_HEADER)
-        for i in range(preds.n_samples):
-            if covered[i]:
-                k = by_idx[i]
-                s = preds.scores[k]
-                writer.writerow(
-                    [i, _fmt(s[0]), _fmt(s[1]), _fmt(s[2]), int(preds.labels[k]), 1]
-                )
-            else:
-                writer.writerow([i, "", "", "", "", 0])
+    columns = [int_fields(range(preds.n_samples)), *_covered_columns(preds), int_fields(preds.covered)]
+    write_csv(path, PRED_HEADER, columns)
 
 
 def read_predictions_csv(path: str | Path) -> DetectorOutput:
     path = Path(path)
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+        reader = _csv_rows(fh, path)
         try:
             header = next(reader)
         except StopIteration:
@@ -162,39 +184,9 @@ def read_predictions_csv(path: str | Path) -> DetectorOutput:
 
 def write_trace_csv(seq: GazeSequence, preds: DetectorOutput, path: str | Path) -> None:
     """Long-format per-sample activation trace for external plotting."""
-    covered = preds.covered
-    by_idx = {int(i): k for k, i in enumerate(preds.sample_idx)}
-    labels = seq.labels
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRACE_HEADER)
-        for i in range(len(seq)):
-            truth = "" if labels is None else int(labels[i])
-            if covered[i]:
-                k = by_idx[i]
-                s = preds.scores[k]
-                row = [
-                    _fmt(seq.t_ms[i]),
-                    _fmt(seq.x_deg[i]),
-                    _fmt(seq.y_deg[i]),
-                    _fmt(s[0]),
-                    _fmt(s[1]),
-                    _fmt(s[2]),
-                    truth,
-                    int(preds.labels[k]),
-                ]
-            else:
-                row = [
-                    _fmt(seq.t_ms[i]),
-                    _fmt(seq.x_deg[i]),
-                    _fmt(seq.y_deg[i]),
-                    "",
-                    "",
-                    "",
-                    truth,
-                    "",
-                ]
-            writer.writerow(row)
+    coords = map(float_fields, (seq.t_ms, seq.x_deg, seq.y_deg))
+    *scores, pred = _covered_columns(preds)
+    write_csv(path, TRACE_HEADER, [*coords, *scores, _label_column(seq), pred])
 
 
 def write_manifest(stats: dict, seed: int, path: str | Path) -> None:
@@ -210,8 +202,6 @@ def read_manifest(path: str | Path) -> dict:
 
 
 def write_history_csv(records, path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["phase", "epoch", "train_loss", "val_accuracy"])
-        for rec in records:
-            writer.writerow([rec.phase, rec.epoch, _fmt(rec.train_loss), _fmt(rec.val_accuracy)])
+    phase, epoch, loss, accuracy = ([getattr(r, k) for r in records] for k in HISTORY_HEADER)
+    columns = [int_fields(phase), int_fields(epoch), float_fields(loss), float_fields(accuracy)]
+    write_csv(path, HISTORY_HEADER, columns)

@@ -11,8 +11,9 @@ Layout (all integers little-endian u32, all floats little-endian f64):
                      [class][flat], dense_b
     crc     u32      CRC-32 of the payload bytes
 
-Loading validates magic, version, header consistency, payload length and
-checksum; each failure raises a distinct error type.
+Loading validates magic, version, header consistency, payload length,
+checksum and that every weight is finite; each failure raises a distinct
+error type.
 """
 from __future__ import annotations
 
@@ -94,8 +95,11 @@ def load_model(path: str | Path) -> NetworkParams:
     if zlib.crc32(payload) != stored_crc:
         raise ModelCorruptError("payload checksum mismatch")
 
+    weights = np.frombuffer(payload, dtype="<f8")
+    if not np.isfinite(weights).all():
+        raise ModelCorruptError("payload holds non-finite weights")
     return NetworkParams.from_vector(
-        np.frombuffer(payload, dtype="<f8"),
+        weights,
         kernel_len=kernel_len,
         pool_factor=pool_factor,
         input_len=input_len,

@@ -9,14 +9,14 @@ package defaults. See docs in the README for a complete annotated example.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from .detectors import BaselineConfig
 from .features import FrontendConfig
-from .net import AdamConfig, PhaseConfig, TrainConfig, flattened_dim
+from .net import TrainConfig, flattened_dim
 from .simulate import StimulusConfig
 
 
@@ -47,60 +47,66 @@ class RunConfig:
     split_level: str = "window"  # or "sequence"
 
 
+def _keys(config, prefix: str = "", skip: tuple[str, ...] = ()) -> dict[str, type]:
+    """Config keys of a default config object, each typed by its default
+    value; a (min, max) range field gives the keys <name>_min and <name>_max."""
+    keys = {}
+    for f in fields(config):
+        if f.name in skip:
+            continue
+        key, value = prefix + f.name, getattr(config, f.name)
+        if isinstance(value, tuple):
+            keys[f"{key}_min"] = keys[f"{key}_max"] = type(value[0])
+        else:
+            keys[key] = type(value)
+    return keys
+
+
+def _apply(config, values: dict[str, object], prefix: str = "", skip: tuple[str, ...] = ()):
+    """config with each of its keys (see _keys) that values holds replaced."""
+    changes = {}
+    for f in fields(config):
+        if f.name in skip:
+            continue
+        key, value = prefix + f.name, getattr(config, f.name)
+        if isinstance(value, tuple):
+            changes[f.name] = (values.get(f"{key}_min", value[0]), values.get(f"{key}_max", value[1]))
+        else:
+            changes[f.name] = values.get(key, value)
+    return replace(config, **changes)
+
+
+# [training] holds phase1_epochs, phase1_alpha, ... phase2_epsilon, the
+# other TrainConfig fields but the seed and the [network] geometry, and
+# split_level; [stimulus] holds every StimulusConfig field but the seed
+_TRAIN = TrainConfig()
+_PHASES = ("phase1", "phase2")
+_NETWORK = ("kernel_len", "pool_factor")
+
+
+def _phase_keys(p: str) -> dict[str, type]:
+    phase = getattr(_TRAIN, p)
+    return {**_keys(phase, f"{p}_", skip=("adam",)), **_keys(phase.adam, f"{p}_")}
+
+
+def _apply_phase(p: str, training: dict[str, object]):
+    phase = getattr(_TRAIN, p)
+    adam = _apply(phase.adam, training, f"{p}_")
+    return replace(_apply(phase, training, f"{p}_", skip=("adam",)), adam=adam)
+
+
 _SCHEMA: dict[str, dict[str, type]] = {
-    "frontend": {
-        "window_len": int,
-        "stride": int,
-        "center_offset": int,
-        "interp_max_gap": int,
-        "demean": bool,
-    },
-    "network": {
-        "kernel_len": int,
-        "pool_factor": int,
-    },
+    "frontend": _keys(FrontendConfig()),
+    "network": {k: _keys(_TRAIN)[k] for k in _NETWORK},
     "training": {
-        "phase1_epochs": int,
-        "phase1_alpha": float,
-        "phase1_beta1": float,
-        "phase1_beta2": float,
-        "phase1_epsilon": float,
-        "phase2_epochs": int,
-        "phase2_alpha": float,
-        "phase2_beta1": float,
-        "phase2_beta2": float,
-        "phase2_epsilon": float,
-        "batch_size": int,
-        "shuffle": bool,
-        "split_level": str,
-        "keep": str,
+        **_phase_keys("phase1"),
+        **_phase_keys("phase2"),
+        **_keys(_TRAIN, skip=_PHASES + _NETWORK + ("seed",)),
+        "split_level": type(RunConfig.split_level),
     },
-    "baselines": {
-        "velocity_threshold_deg_s": float,
-        "dispersion_threshold_deg": float,
-        "angle_threshold_rad": float,
-        "pca_ratio_threshold": float,
-        "window_len": int,
-    },
-    "stimulus": {
-        "rate_hz": float,
-        "screen_half_extent_deg": float,
-        "n_star_positions": int,
-        "fixation_dur_ms_min": float,
-        "fixation_dur_ms_max": float,
-        "pursuit_speed_deg_s_min": float,
-        "pursuit_speed_deg_s_max": float,
-        "saccade_dur_ms_min": float,
-        "saccade_dur_ms_max": float,
-        "noise_sigma_deg": float,
-        "tremor_sigma_deg": float,
-        "artifact_rate": float,
-        "artifact_scale": float,
-        "sequence_duration_s": float,
-    },
-    "evaluation": {
-        "confidence_steps": int,
-    },
+    "baselines": _keys(BaselineConfig()),
+    "stimulus": _keys(StimulusConfig(), skip=("seed",)),
+    "evaluation": _keys(EvaluationConfig()),
 }
 
 
@@ -127,10 +133,9 @@ def load_run_config(path: str | Path, seed: int = 0) -> RunConfig:
     CLI's --seed flag (or GAZEFLOW_SEED) stays the single seed source.
     """
     parser = configparser.ConfigParser(interpolation=None)
-    text = Path(path).read_text(encoding="utf-8")
     try:
-        parser.read_string(text, source=str(path))
-    except configparser.Error as exc:
+        parser.read_string(Path(path).read_text(encoding="utf-8"), source=str(path))
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
     values: dict[str, dict[str, object]] = {}
@@ -147,91 +152,26 @@ def load_run_config(path: str | Path, seed: int = 0) -> RunConfig:
 
 def build_run_config(values: dict[str, dict[str, object]], seed: int = 0) -> RunConfig:
     """Construct a validated RunConfig from parsed section/key values."""
+    training = values.get("training", {})
     try:
-        frontend = FrontendConfig(**values.get("frontend", {}))
-
-        training = dict(values.get("training", {}))
-        network = dict(values.get("network", {}))
-        split_level = str(training.pop("split_level", "window"))
+        frontend = _apply(FrontendConfig(), values.get("frontend", {}))
+        split_level = training.get("split_level", RunConfig.split_level)
         if split_level not in ("window", "sequence"):
             raise ConfigError("split_level must be 'window' or 'sequence'")
-        defaults = TrainConfig()
-        phase1 = PhaseConfig(
-            epochs=int(training.pop("phase1_epochs", defaults.phase1.epochs)),
-            adam=AdamConfig(
-                alpha=float(training.pop("phase1_alpha", defaults.phase1.adam.alpha)),
-                beta1=float(training.pop("phase1_beta1", defaults.phase1.adam.beta1)),
-                beta2=float(training.pop("phase1_beta2", defaults.phase1.adam.beta2)),
-                epsilon=float(training.pop("phase1_epsilon", defaults.phase1.adam.epsilon)),
-            ),
-        )
-        phase2 = PhaseConfig(
-            epochs=int(training.pop("phase2_epochs", defaults.phase2.epochs)),
-            adam=AdamConfig(
-                alpha=float(training.pop("phase2_alpha", defaults.phase2.adam.alpha)),
-                beta1=float(training.pop("phase2_beta1", defaults.phase2.adam.beta1)),
-                beta2=float(training.pop("phase2_beta2", defaults.phase2.adam.beta2)),
-                epsilon=float(training.pop("phase2_epsilon", defaults.phase2.adam.epsilon)),
-            ),
-        )
-        train = TrainConfig(
-            phase1=phase1,
-            phase2=phase2,
-            batch_size=int(training.pop("batch_size", defaults.batch_size)),
-            seed=seed,
-            shuffle=bool(training.pop("shuffle", defaults.shuffle)),
-            kernel_len=int(network.pop("kernel_len", defaults.kernel_len)),
-            pool_factor=int(network.pop("pool_factor", defaults.pool_factor)),
-            keep=str(training.pop("keep", defaults.keep)),
-        )
+        phases = {p: _apply_phase(p, training) for p in _PHASES}
+        train = _apply(_TRAIN, {**training, **values.get("network", {})}, skip=_PHASES)
+        train = replace(train, seed=seed, **phases)
         if flattened_dim(frontend.window_len, train.kernel_len, train.pool_factor) <= 0:
             raise ConfigError(
                 f"[network] kernel_len = {train.kernel_len} and pool_factor = {train.pool_factor} "
                 f"leave no pooled output for [frontend] window_len = {frontend.window_len}"
             )
-
-        baselines = BaselineConfig(**values.get("baselines", {}))
-
-        stim = dict(values.get("stimulus", {}))
-        stim_defaults = StimulusConfig()
-
-        def_range = lambda name, dflt: (
-            float(stim.pop(f"{name}_min", dflt[0])),
-            float(stim.pop(f"{name}_max", dflt[1])),
-        )
-
-        stimulus = StimulusConfig(
-            rate_hz=float(stim.pop("rate_hz", stim_defaults.rate_hz)),
-            screen_half_extent_deg=float(
-                stim.pop("screen_half_extent_deg", stim_defaults.screen_half_extent_deg)
-            ),
-            n_star_positions=int(stim.pop("n_star_positions", stim_defaults.n_star_positions)),
-            fixation_dur_ms=def_range("fixation_dur_ms", stim_defaults.fixation_dur_ms),
-            pursuit_speed_deg_s=def_range(
-                "pursuit_speed_deg_s", stim_defaults.pursuit_speed_deg_s
-            ),
-            saccade_dur_ms=def_range("saccade_dur_ms", stim_defaults.saccade_dur_ms),
-            noise_sigma_deg=float(stim.pop("noise_sigma_deg", stim_defaults.noise_sigma_deg)),
-            tremor_sigma_deg=float(stim.pop("tremor_sigma_deg", stim_defaults.tremor_sigma_deg)),
-            artifact_rate=float(stim.pop("artifact_rate", stim_defaults.artifact_rate)),
-            artifact_scale=float(stim.pop("artifact_scale", stim_defaults.artifact_scale)),
-            seed=seed,
-            sequence_duration_s=float(
-                stim.pop("sequence_duration_s", stim_defaults.sequence_duration_s)
-            ),
-        )
-
-        evaluation = EvaluationConfig(**values.get("evaluation", {}))
+        baselines = _apply(BaselineConfig(), values.get("baselines", {}))
+        stimulus = replace(_apply(StimulusConfig(), values.get("stimulus", {})), seed=seed)
+        evaluation = _apply(EvaluationConfig(), values.get("evaluation", {}))
     except ConfigError:
         raise
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
-    return RunConfig(
-        frontend=frontend,
-        train=train,
-        baselines=baselines,
-        stimulus=stimulus,
-        evaluation=evaluation,
-        split_level=split_level,
-    )
+    return RunConfig(frontend, train, baselines, stimulus, evaluation, split_level)

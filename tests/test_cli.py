@@ -1,5 +1,8 @@
+import csv
 import json
 import os
+import struct
+import zlib
 from dataclasses import replace
 from pathlib import Path
 
@@ -8,11 +11,20 @@ import pytest
 
 import gazeflow.cli as cli
 from gazeflow.cli import main
-from gazeflow.detectors import cnn_detect
-from gazeflow.gaze import split_dataset
+from gazeflow.detectors import DetectorOutput, cnn_detect
+from gazeflow.gaze import CLASS_NAMES, LabelClass, events_from_labels, split_dataset
 from gazeflow.gaze_io import read_gaze_csv, read_manifest, read_predictions_csv, write_gaze_csv
-from gazeflow.metrics import frame_accuracy
-from gazeflow.model_io import load_model, model_crc
+from gazeflow.metrics import (
+    confidence_accuracy,
+    confusion,
+    event_majority,
+    frame_accuracy,
+    one_vs_all_auc,
+    prf_from_confusion,
+)
+from gazeflow.model_io import load_model, model_crc, save_model
+from gazeflow.net import init_params
+from gazeflow.simulate import StimulusConfig, generate_sequence
 
 TINY_CONFIG = """
 [training]
@@ -434,3 +446,207 @@ class TestCompare:
             ["compare", "--data-dir", str(data), "--model", str(tmp_path / "no.gznn"), "--report-dir", str(tmp_path / "r")]
         )
         assert code in (3, 4)  # unreadable model file
+
+
+@pytest.fixture()
+def untrained(tmp_path, tiny_config):
+    """A tiny corpus, an untrained model and baseline predictions for seq-0000."""
+    data = synth(tmp_path, tiny_config, n=4, seed=5)
+    model = tmp_path / "init.gznn"
+    save_model(init_params(0), model)
+    preds = tmp_path / "preds.csv"
+    assert main(["detect", "--baseline", "ivmp", "--in", str(data / "seq-0000.csv"), "--out", str(preds)]) == 0
+    return data, model, preds
+
+
+def one_error_line(capsys) -> str:
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    return err[0]
+
+
+class TestUnreadableInputs:
+    def test_model_with_non_finite_weight_exit4(self, untrained, tmp_path, capsys):
+        data, model, _ = untrained
+        blob = bytearray(model.read_bytes())
+        struct.pack_into("<d", blob, 32, float("nan"))  # the first weight, after the 32-byte header
+        struct.pack_into("<I", blob, len(blob) - 4, zlib.crc32(blob[32:-4]))
+        model.write_bytes(bytes(blob))
+        out = tmp_path / "p.csv"
+        capsys.readouterr()
+        code = main(["detect", "--model", str(model), "--in", str(data / "seq-0000.csv"), "--out", str(out)])
+        assert code == 4
+        assert "non-finite" in one_error_line(capsys)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["detect", "eval", "trace", "train", "compare"])
+    def test_non_utf8_gaze_csv_exit4(self, untrained, tmp_path, capsys, command):
+        data, model, preds = untrained
+        gaze = data / "seq-0000.csv"
+        gaze.write_bytes(gaze.read_bytes().replace(b"\r\n0", b"\r\n\xff0", 1))
+        argv = {
+            "detect": ["detect", "--model", str(model), "--in", str(gaze), "--out", str(tmp_path / "p.csv")],
+            "eval": ["eval", "--preds", str(preds), "--truth", str(gaze), "--report-dir", str(tmp_path / "r")],
+            "trace": ["trace", "--preds", str(preds), "--in", str(gaze), "--out", str(tmp_path / "t.csv")],
+            "train": ["train", "--data-dir", str(data), "--out", str(tmp_path / "m.gznn")],
+            "compare": ["compare", "--data-dir", str(data), "--model", str(model), "--report-dir", str(tmp_path / "c")],
+        }[command]
+        capsys.readouterr()
+        assert main(argv) == 4
+        assert "utf-8" in one_error_line(capsys)
+
+    @pytest.mark.parametrize("command", ["eval", "trace"])
+    def test_non_utf8_predictions_csv_exit4(self, untrained, tmp_path, capsys, command):
+        data, _, preds = untrained
+        preds.write_bytes(preds.read_bytes() + b"\xfe\xff")
+        gaze = str(data / "seq-0000.csv")
+        argv = {
+            "eval": ["eval", "--preds", str(preds), "--truth", gaze, "--report-dir", str(tmp_path / "r")],
+            "trace": ["trace", "--preds", str(preds), "--in", gaze, "--out", str(tmp_path / "t.csv")],
+        }[command]
+        capsys.readouterr()
+        assert main(argv) == 4
+        assert "utf-8" in one_error_line(capsys)
+
+    def test_non_utf8_config_exit2(self, tmp_path, capsys):
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes("[stimulus]\n# r\u00e9glage\nsequence_duration_s = 3.0\n".encode("latin-1"))
+        capsys.readouterr()
+        code = main(["synth", "--config", str(cfg), "--out-dir", str(tmp_path / "o"), "--sequences", "1"])
+        assert code == 2
+        assert "utf-8" in one_error_line(capsys)
+
+
+# The csv.writer report blocks that gaze_io.write_csv replaced, kept as oracles.
+
+
+def _fmt(x):
+    return repr(float(x))
+
+
+def oracle_eval_reports(preds, truth_seq, report_dir, thresholds):
+    truth = truth_seq.labels
+    cm = confusion(preds, truth)
+    report = prf_from_confusion(cm)
+    ova = one_vs_all_auc(preds, truth)
+    ev_table = event_majority(preds, events_from_labels(truth))
+    conf_bins = confidence_accuracy(preds, truth, thresholds)
+    report_dir.mkdir(parents=True, exist_ok=True)
+    norm = cm.row_normalized
+    with open(report_dir / "confusion.csv", "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(["truth"] + [f"pred_{c}" for c in CLASS_NAMES] + [f"norm_{c}" for c in CLASS_NAMES])
+        for i, name in enumerate(CLASS_NAMES):
+            w.writerow([name] + [int(v) for v in cm.counts[i]] + [_fmt(v) for v in norm[i]])
+    with open(report_dir / "prf.csv", "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(["class", "accuracy", "precision", "recall", "f1"])
+        for i, name in enumerate(CLASS_NAMES):
+            w.writerow(
+                [name]
+                + [_fmt(v) for v in (report.accuracy[i], report.precision[i], report.recall[i], report.f1[i])]
+            )
+        w.writerow(
+            ["average"]
+            + [_fmt(v) for v in (report.macro_accuracy, report.macro_precision, report.macro_recall, report.macro_f1)]
+        )
+    for cls, curve in zip(LabelClass, ova.curves):
+        with open(report_dir / f"roc_{CLASS_NAMES[cls]}.csv", "w", newline="", encoding="utf-8") as fh:
+            w = csv.writer(fh)
+            w.writerow(["fpr", "tpr"])
+            for fpr, tpr in zip(curve.fpr, curve.tpr):
+                w.writerow([_fmt(fpr), _fmt(tpr)])
+    with open(report_dir / "event_majority.csv", "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(["truth"] + list(CLASS_NAMES) + ["no_majority", "n_events"])
+        for i, name in enumerate(CLASS_NAMES):
+            w.writerow(
+                [name]
+                + [_fmt(v) for v in ev_table.fractions[i]]
+                + [_fmt(ev_table.no_majority[i]), int(ev_table.event_counts[i])]
+            )
+    with open(report_dir / "confidence.csv", "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(["class", "min_probability", "accuracy", "support"])
+        for cls, bins in conf_bins.items():
+            for b in bins:
+                w.writerow([CLASS_NAMES[cls], _fmt(b.threshold), _fmt(b.accuracy), b.support])
+    summary = {
+        "auc": {
+            "fixation": ova.curves[0].auc,
+            "saccade": ova.curves[1].auc,
+            "pursuit": ova.curves[2].auc,
+            "mean": ova.mean_auc,
+        },
+        "frame_accuracy": frame_accuracy(preds, truth),
+        "macro": {
+            "accuracy": report.macro_accuracy,
+            "precision": report.macro_precision,
+            "recall": report.macro_recall,
+            "f1": report.macro_f1,
+        },
+        "per_class": {
+            CLASS_NAMES[i]: {
+                "accuracy": float(report.accuracy[i]),
+                "precision": float(report.precision[i]),
+                "recall": float(report.recall[i]),
+                "f1": float(report.f1[i]),
+            }
+            for i in range(3)
+        },
+        "covered_samples": int(preds.sample_idx.shape[0]),
+        "total_samples": int(preds.n_samples),
+    }
+    (report_dir / "summary.json").write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
+
+
+REPORT_FILES = (
+    "confusion.csv",
+    "prf.csv",
+    "roc_fixation.csv",
+    "roc_saccade.csv",
+    "roc_pursuit.csv",
+    "event_majority.csv",
+    "confidence.csv",
+    "summary.json",
+)
+
+
+class TestReportsMatchCsvWriter:
+    @pytest.mark.parametrize("covered", ["some", "all"])
+    @pytest.mark.parametrize("tied_scores", [False, True])
+    def test_eval_reports(self, tmp_path, covered, tied_scores):
+        truth = generate_sequence(StimulusConfig(sequence_duration_s=3.0, seed=3), 0).sequence
+        n = len(truth)
+        rng = np.random.default_rng(11)
+        idx = np.arange(n) if covered == "all" else np.flatnonzero(rng.uniform(size=n) > 0.3)
+        if tied_scores:  # few distinct triples: tied ROC thresholds, empty confidence bins
+            triples = np.array([[0.6, 0.3, 0.1], [0.2, 0.5, 0.3], [0.25, 0.25, 0.5], [1.0, 0.0, 0.0]])
+            scores = triples[rng.integers(0, 4, idx.size)]
+        else:
+            scores = rng.dirichlet(np.ones(3), size=idx.size)
+        preds = DetectorOutput(n, idx, scores, scores.argmax(axis=1))
+        thresholds = np.linspace(0.0, 1.0, 21)
+        cli._eval_reports(preds, truth, tmp_path / "new", thresholds)
+        oracle_eval_reports(preds, truth, tmp_path / "old", thresholds)
+        for name in REPORT_FILES:
+            assert (tmp_path / "new" / name).read_bytes() == (tmp_path / "old" / name).read_bytes(), name
+
+    def test_comparison_csv(self, untrained, tmp_path):
+        data, model, _ = untrained
+        for i in range(4, 8):  # compare needs a validation and a test recording
+            (data / f"seq-{i:04d}.csv").write_bytes((data / f"seq-{i - 4:04d}.csv").read_bytes())
+        report = tmp_path / "cmp"
+        assert main(["compare", "--data-dir", str(data), "--model", str(model), "--report-dir", str(report)]) == 0
+        new = (report / "comparison.csv").read_bytes()
+        rows = list(csv.reader(new.decode("utf-8").splitlines()))
+        assert rows[0] == ["detector", "auc_fixation", "auc_saccade", "auc_pursuit", "mean_auc", "macro_f1",
+                           "frame_accuracy"]
+        assert any(r[3] == "nan" for r in rows[1:])  # ivt ranks no pursuit
+        oracle = report / "oracle.csv"
+        with open(oracle, "w", newline="", encoding="utf-8") as fh:
+            w = csv.writer(fh)
+            w.writerow(rows[0])
+            for r in rows[1:]:
+                w.writerow([r[0]] + [_fmt(float(v)) for v in r[1:]])
+        assert new == oracle.read_bytes()

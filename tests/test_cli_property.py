@@ -1,0 +1,95 @@
+"""Property test: damaged input files only ever end in a documented exit code.
+
+Each example writes random bytes, a truncation or a one-byte mutation of a
+valid gaze CSV, predictions CSV, config or model file and runs the CLI on
+it. Whatever the bytes, `main` returns 0, 2, 3 or 4 and never raises.
+"""
+import contextlib
+import io
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gazeflow.cli import main
+from gazeflow.gaze_io import write_gaze_csv
+from gazeflow.model_io import save_model
+from gazeflow.net import init_params
+from gazeflow.simulate import StimulusConfig, generate_sequence
+
+DOCUMENTED_EXIT_CODES = {0, 2, 3, 4}
+
+VALID_CONFIG = """[frontend]
+window_len = 30
+center_offset = 15
+demean = true
+
+[baselines]
+velocity_threshold_deg_s = 55
+window_len = 30
+
+[evaluation]
+confidence_steps = 11
+"""
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    d = tmp_path_factory.mktemp("valid")
+    write_gaze_csv(generate_sequence(StimulusConfig(sequence_duration_s=1.0, seed=2), 0).sequence, d / "gaze.csv")
+    save_model(init_params(0), d / "model.gznn")
+    (d / "run.cfg").write_text(VALID_CONFIG, encoding="utf-8")
+    assert main(["detect", "--baseline", "ivmp", "--in", str(d / "gaze.csv"), "--out", str(d / "preds.csv")]) == 0
+    return d
+
+
+def damaged(valid: bytes):
+    """Random bytes, a truncation or a one-byte mutation of valid."""
+    return st.one_of(
+        st.binary(max_size=400),
+        st.integers(0, len(valid)).map(lambda k: valid[:k]),
+        st.tuples(st.integers(0, len(valid) - 1), st.integers(0, 255)).map(
+            lambda m: valid[: m[0]] + bytes([m[1]]) + valid[m[0] + 1 :]
+        ),
+    )
+
+
+# argv per file kind; FUZZ is the damaged file, the other files are valid
+FILES = {"gaze.csv", "preds.csv", "model.gznn", "out.csv", "report"}
+COMMANDS = {
+    "gaze.csv": [
+        ["detect", "--model", "model.gznn", "--in", "FUZZ", "--out", "out.csv"],
+        ["detect", "--baseline", "pca", "--in", "FUZZ", "--out", "out.csv"],
+        ["eval", "--preds", "preds.csv", "--truth", "FUZZ", "--report-dir", "report"],
+        ["trace", "--preds", "preds.csv", "--in", "FUZZ", "--out", "out.csv"],
+    ],
+    "preds.csv": [
+        ["eval", "--preds", "FUZZ", "--truth", "gaze.csv", "--report-dir", "report"],
+        ["trace", "--preds", "FUZZ", "--in", "gaze.csv", "--out", "out.csv"],
+    ],
+    "run.cfg": [
+        ["detect", "--model", "model.gznn", "--in", "gaze.csv", "--out", "out.csv", "--config", "FUZZ"],
+        ["detect", "--baseline", "ivt-idt", "--in", "gaze.csv", "--out", "out.csv", "--config", "FUZZ"],
+        ["eval", "--preds", "preds.csv", "--truth", "gaze.csv", "--report-dir", "report", "--config", "FUZZ"],
+    ],
+    "model.gznn": [
+        ["detect", "--model", "FUZZ", "--in", "gaze.csv", "--out", "out.csv"],
+    ],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(COMMANDS))
+def test_damaged_file_ends_in_documented_exit_code(files, kind):
+    valid = (files / kind).read_bytes()
+    fuzz = files / f"fuzz-{kind}"
+
+    @settings(max_examples=50, deadline=None, database=None)
+    @given(data=damaged(valid), command=st.sampled_from(COMMANDS[kind]))
+    def run(data, command):
+        fuzz.write_bytes(data)
+        argv = [str(fuzz) if a == "FUZZ" else str(files / a) if a in FILES else a for a in command]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        assert code in DOCUMENTED_EXIT_CODES
+
+    run()

@@ -7,6 +7,7 @@ from gazeflow.detectors import (
     DetectorError,
     DetectorOutput,
     _eig2x2,
+    _velocity_array,
     cnn_detect,
     concat_outputs,
     ivmp_detect,
@@ -14,8 +15,8 @@ from gazeflow.detectors import (
     ivt_idt_detect,
     pca_ratio_detect,
     stage2_statistics,
-    velocity,
 )
+from gazeflow.features import featurize_sequence
 from gazeflow.gaze import GazeSequence, LabelClass
 from gazeflow.net import forward, init_params
 
@@ -28,6 +29,18 @@ def make_seq(x, y=None, valid=None):
     y = np.zeros_like(x) if y is None else np.asarray(y, dtype=float)
     v = np.ones(len(x), bool) if valid is None else np.asarray(valid, bool)
     return GazeSequence(np.arange(len(x)) * DT_MS, x, y, v)
+
+
+def velocity(seq: GazeSequence, i: int) -> float:
+    """Scalar central-difference gaze speed at sample i, in degrees per second:
+    the oracle for the detectors' vectorized velocity."""
+    n = len(seq)
+    if not 1 <= i <= n - 2:
+        raise DetectorError(f"velocity undefined at boundary index {i}")
+    dt_s = (seq.t_ms[i + 1] - seq.t_ms[i - 1]) / 1000.0
+    dx = seq.x_deg[i + 1] - seq.x_deg[i - 1]
+    dy = seq.y_deg[i + 1] - seq.y_deg[i - 1]
+    return float(np.hypot(dx, dy) / dt_s)
 
 
 class TestVelocity:
@@ -47,6 +60,18 @@ class TestVelocity:
             dt = (seq.t_ms[i + 1] - seq.t_ms[i - 1]) / 1000.0
             expected = np.sqrt((x[i + 1] - x[i - 1]) ** 2 + (y[i + 1] - y[i - 1]) ** 2) / dt
             assert velocity(seq, i) == pytest.approx(expected, rel=1e-12)
+
+    def test_scalar_oracle_matches_vectorized(self):
+        rng = np.random.default_rng(4)
+        seq = make_seq(np.cumsum(rng.normal(0, 0.05, 60)), np.cumsum(rng.normal(0, 0.05, 60)))
+        bad = np.zeros(60, bool)
+        bad[[10, 30, 31]] = True
+        v = _velocity_array(seq.t_ms, seq.x_deg, seq.y_deg, bad)
+        for i in range(60):
+            if i in (0, 59) or bad[i - 1] or bad[i + 1]:
+                assert np.isnan(v[i])
+            else:
+                assert v[i] == velocity(seq, i)
 
     def test_boundary_errors(self):
         seq = make_seq(np.zeros(5))
@@ -439,11 +464,9 @@ class TestCnnDetect:
         params = init_params(5)
         seq = make_seq(np.cumsum(rng.normal(0, 0.1, 80)), np.cumsum(rng.normal(0, 0.1, 80)))
         out = cnn_detect(params, seq)
-        from gazeflow.features import extract_windows
-
-        for (center, feat), k in zip(extract_windows(seq), range(len(out.sample_idx))):
+        for k, (center, feat) in enumerate(zip(*featurize_sequence(seq))):
             assert out.sample_idx[k] == center
-            res = forward(params, feat.values)
+            res = forward(params, feat)
             assert np.max(np.abs(res.probs.probs - out.scores[k])) < 1e-12
             assert out.labels[k] == int(res.probs.label)
 

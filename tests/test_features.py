@@ -4,12 +4,9 @@ import pytest
 from gazeflow.features import (
     FeatureError,
     FrontendConfig,
-    RawWindow,
     build_window_set,
-    extract_windows,
     featurize_sequence,
     fft_magnitude,
-    make_feature,
     repair_sequence,
     yields_windows,
 )
@@ -77,60 +74,66 @@ class TestFftMagnitude:
             fft_magnitude(sig)
 
 
+def window_feature(xs, ys, config=FrontendConfig()):
+    """The (window_len, 2) feature of one whole-sequence window."""
+    centers, feats = featurize_sequence(make_seq(xs, ys), config)
+    assert centers.tolist() == [config.center_offset]
+    return feats[0]
+
+
 class TestMakeFeature:
+    """Encoding a single window, through featurize_sequence."""
+
     def test_stationary_window_demeaned_is_zero(self):
-        w = RawWindow(np.full(30, 4.2), np.full(30, -1.1), center_idx=15)
-        feat = make_feature(w)
-        assert np.max(feat.values) < 1e-12
+        feat = window_feature(np.full(30, 4.2), np.full(30, -1.1))
+        assert np.max(feat) < 1e-12
 
     def test_stationary_window_exact_zero_for_exact_mean(self):
-        w = RawWindow(np.full(30, 4.0), np.full(30, -1.5), center_idx=15)
-        assert np.all(make_feature(w).values == 0)
+        assert np.all(window_feature(np.full(30, 4.0), np.full(30, -1.5)) == 0)
 
     def test_ramp_concentrates_low_frequency(self):
         n = np.arange(30)
-        w = RawWindow(0.1 * n, np.zeros(30), center_idx=15)
-        feat = make_feature(w)
+        feat = window_feature(0.1 * n, np.zeros(30))
         ramp = 0.1 * n - np.mean(0.1 * n)
         oracle = naive_dft_magnitude(ramp)
-        assert np.max(np.abs(feat.values[:, 0] - oracle)) < 1e-9
-        assert feat.values[1, 0] > feat.values[14, 0]
+        assert np.max(np.abs(feat[:, 0] - oracle)) < 1e-9
+        assert feat[1, 0] > feat[14, 0]
 
     def test_alternating_jitter_hits_nyquist(self):
         xs = 0.1 * (-1.0) ** np.arange(30)
-        feat = make_feature(RawWindow(xs, np.zeros(30), center_idx=15))
-        assert np.argmax(feat.values[:, 0]) == 15
+        feat = window_feature(xs, np.zeros(30))
+        assert np.argmax(feat[:, 0]) == 15
 
     def test_translation_invariance_with_demean(self):
         rng = np.random.default_rng(3)
         xs = rng.normal(size=30)
         ys = rng.normal(size=30)
-        a = make_feature(RawWindow(xs, ys, 15))
-        b = make_feature(RawWindow(xs + 123.4, ys - 55.5, 15))
-        assert np.max(np.abs(a.values - b.values)) < 1e-9
+        a = window_feature(xs, ys)
+        b = window_feature(xs + 123.4, ys - 55.5)
+        assert np.max(np.abs(a - b)) < 1e-9
 
     def test_demean_off(self):
         cfg = FrontendConfig(demean=False)
-        feat = make_feature(RawWindow(np.full(30, 2.0), np.zeros(30), 15), cfg)
-        assert feat.values[0, 0] == pytest.approx(60.0)
+        feat = window_feature(np.full(30, 2.0), np.zeros(30), cfg)
+        assert feat[0, 0] == pytest.approx(60.0)
 
 
 class TestExtractWindows:
     def test_single_window(self):
         seq = make_seq(np.zeros(30))
-        out = list(extract_windows(seq))
-        assert len(out) == 1
-        assert out[0][0] == 15
+        centers, feats = featurize_sequence(seq)
+        assert len(centers) == len(feats) == 1
+        assert centers[0] == 15
 
     def test_window_count_and_centers(self):
         seq = make_seq(np.zeros(100))
-        centers = [c for c, _ in extract_windows(seq)]
+        centers = featurize_sequence(seq)[0].tolist()
         assert len(centers) == 71
         assert centers == list(range(15, 86))
 
     def test_too_short_errors(self):
         with pytest.raises(FeatureError):
-            list(extract_windows(make_seq(np.zeros(29))))
+            featurize_sequence(make_seq(np.zeros(29)))
 
     def test_stride(self):
         seq = make_seq(np.zeros(100))

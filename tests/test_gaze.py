@@ -4,7 +4,6 @@ import pytest
 from gazeflow.gaze import (
     Event,
     GazeDataError,
-    GazeSample,
     GazeSequence,
     LabelClass,
     LabelTilingError,
@@ -126,7 +125,7 @@ class TestGazeSequence:
             np.array([True, False]),
         )
         assert len(seq) == 2
-        assert seq.sample(0) == GazeSample(0.0, 0.0, 0.0, True)
+        assert (seq.t_ms[0], seq.x_deg[0], seq.y_deg[0], seq.valid[0]) == (0.0, 0.0, 0.0, True)
 
     def test_label_length_mismatch(self):
         with pytest.raises(GazeDataError):
@@ -137,12 +136,6 @@ class TestGazeSequence:
                 np.ones(2, bool),
                 labels=np.array([0], dtype=np.int8),
             )
-
-    def test_from_samples_round_trip(self):
-        samples = [GazeSample(i * 3.0, float(i), -float(i), True) for i in range(5)]
-        seq = GazeSequence.from_samples(samples, labels=[F, F, S, S, P], source_id="x")
-        assert seq.sample(3) == samples[3]
-        assert seq.labels.tolist() == [0, 0, 1, 1, 2]
 
 
 def _window_set(n, seed=0):

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -8,9 +10,11 @@ from gazeflow.gaze_io import (
     read_gaze_csv,
     read_predictions_csv,
     write_gaze_csv,
+    write_history_csv,
     write_predictions_csv,
     write_trace_csv,
 )
+from gazeflow.net import EpochRecord
 
 
 def random_sequence(n=40, labeled=True, seed=0):
@@ -137,3 +141,120 @@ class TestTraceCsv:
                 assert parts[7] != ""
             else:
                 assert parts[7] == ""
+
+
+class TestNonUtf8:
+    @pytest.mark.parametrize("reader", [read_gaze_csv, read_predictions_csv])
+    def test_rejected_as_format_error(self, tmp_path, reader):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"t_ms,x_deg,y_deg,valid,label\r\n0.0,\xff,0.0,1,\r\n")
+        with pytest.raises(DataFormatError, match="utf-8"):
+            reader(path)
+
+
+# The row-by-row csv.writer writers that write_csv replaced, kept as oracles.
+
+
+def _fmt(x):
+    return repr(float(x))
+
+
+def oracle_gaze_csv(seq, path):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t_ms", "x_deg", "y_deg", "valid", "label"])
+        labels = seq.labels
+        for i in range(len(seq)):
+            writer.writerow(
+                [
+                    _fmt(seq.t_ms[i]),
+                    _fmt(seq.x_deg[i]),
+                    _fmt(seq.y_deg[i]),
+                    int(seq.valid[i]),
+                    "" if labels is None else int(labels[i]),
+                ]
+            )
+
+
+def oracle_predictions_csv(preds, path):
+    covered = preds.covered
+    by_idx = {int(i): k for k, i in enumerate(preds.sample_idx)}
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["sample_idx", "p_fix", "p_sac", "p_pur", "label", "covered"])
+        for i in range(preds.n_samples):
+            if covered[i]:
+                k = by_idx[i]
+                s = preds.scores[k]
+                writer.writerow([i, _fmt(s[0]), _fmt(s[1]), _fmt(s[2]), int(preds.labels[k]), 1])
+            else:
+                writer.writerow([i, "", "", "", "", 0])
+
+
+def oracle_trace_csv(seq, preds, path):
+    covered = preds.covered
+    by_idx = {int(i): k for k, i in enumerate(preds.sample_idx)}
+    labels = seq.labels
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t_ms", "x_deg", "y_deg", "p_fix", "p_sac", "p_pur", "truth", "pred"])
+        for i in range(len(seq)):
+            truth = "" if labels is None else int(labels[i])
+            coords = [_fmt(seq.t_ms[i]), _fmt(seq.x_deg[i]), _fmt(seq.y_deg[i])]
+            if covered[i]:
+                k = by_idx[i]
+                s = preds.scores[k]
+                writer.writerow(coords + [_fmt(s[0]), _fmt(s[1]), _fmt(s[2]), truth, int(preds.labels[k])])
+            else:
+                writer.writerow(coords + ["", "", "", truth, ""])
+
+
+def oracle_history_csv(records, path):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["phase", "epoch", "train_loss", "val_accuracy"])
+        for rec in records:
+            writer.writerow([rec.phase, rec.epoch, _fmt(rec.train_loss), _fmt(rec.val_accuracy)])
+
+
+def outputs(n, covered, seed=0):
+    """A DetectorOutput over n samples: none, some or all of them covered."""
+    rng = np.random.default_rng(seed)
+    idx = {"none": np.empty(0, np.int64), "some": np.flatnonzero(rng.uniform(size=n) > 0.4),
+           "all": np.arange(n)}[covered]
+    scores = rng.dirichlet(np.ones(3), size=idx.size)
+    return DetectorOutput(n, idx, scores, scores.argmax(axis=1))
+
+
+def assert_same_bytes(tmp_path, write, oracle, *args):
+    write(*args, tmp_path / "new.csv")
+    oracle(*args, tmp_path / "old.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+class TestWritersMatchCsvWriter:
+    @pytest.mark.parametrize("labeled", [True, False])
+    def test_gaze(self, tmp_path, labeled):
+        seq = random_sequence(n=300, labeled=labeled, seed=4)
+        assert not seq.valid.all()  # invalid rows carry nan coordinates
+        assert_same_bytes(tmp_path, write_gaze_csv, oracle_gaze_csv, seq)
+        assert (tmp_path / "new.csv").read_bytes().count(b"\r\n") == 301
+
+    @pytest.mark.parametrize("covered", ["none", "some", "all"])
+    def test_predictions(self, tmp_path, covered):
+        assert_same_bytes(tmp_path, write_predictions_csv, oracle_predictions_csv, outputs(200, covered))
+
+    @pytest.mark.parametrize("covered", ["none", "some", "all"])
+    @pytest.mark.parametrize("labeled", [True, False])
+    def test_trace(self, tmp_path, covered, labeled):
+        seq = random_sequence(n=200, labeled=labeled, seed=5)
+        assert_same_bytes(tmp_path, write_trace_csv, oracle_trace_csv, seq, outputs(200, covered, seed=6))
+
+    @pytest.mark.parametrize("n_records", [0, 1, 7])
+    def test_history(self, tmp_path, n_records):
+        rng = np.random.default_rng(n_records)
+        records = [
+            EpochRecord(1 + (e >= 4), e % 4, float(rng.exponential()), float(rng.uniform()))
+            for e in range(n_records)
+        ]
+        assert_same_bytes(tmp_path, write_history_csv, oracle_history_csv, records)

@@ -1,4 +1,5 @@
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -78,6 +79,16 @@ class TestErrors:
         blob[60] ^= 0xFF  # somewhere inside the payload
         model_path.write_bytes(bytes(blob))
         with pytest.raises(ModelCorruptError):
+            load_model(model_path)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_weight_with_matching_checksum(self, model_path, bad):
+        save_model(init_params(1), model_path)
+        blob = bytearray(model_path.read_bytes())
+        struct.pack_into("<d", blob, 32 + 8 * 5, bad)  # a weight, after the 32-byte header
+        struct.pack_into("<I", blob, len(blob) - 4, zlib.crc32(blob[32:-4]))
+        model_path.write_bytes(bytes(blob))
+        with pytest.raises(ModelCorruptError, match="non-finite"):
             load_model(model_path)
 
     def test_inconsistent_dims(self, model_path):

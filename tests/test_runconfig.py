@@ -1,7 +1,20 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from gazeflow.runconfig import ConfigError, RunConfig, load_run_config
+from gazeflow.detectors import BaselineConfig
+from gazeflow.features import FrontendConfig
+from gazeflow.net import AdamConfig, PhaseConfig, TrainConfig
+from gazeflow.runconfig import (
+    _SCHEMA,
+    ConfigError,
+    EvaluationConfig,
+    RunConfig,
+    build_run_config,
+    load_run_config,
+)
+from gazeflow.simulate import StimulusConfig
 
 FULL_EXAMPLE = """
 [frontend]
@@ -139,3 +152,124 @@ def test_network_geometry_checked_against_window_len(tmp_path, network):
     p.write_text(f"[network]\n{network}\n")
     with pytest.raises(ConfigError):
         load_run_config(p)
+
+
+# The hand-written schema that _SCHEMA is now derived from the config
+# classes, kept as the oracle.
+LITERAL_SCHEMA = {
+    "frontend": {
+        "window_len": int,
+        "stride": int,
+        "center_offset": int,
+        "interp_max_gap": int,
+        "demean": bool,
+    },
+    "network": {
+        "kernel_len": int,
+        "pool_factor": int,
+    },
+    "training": {
+        "phase1_epochs": int,
+        "phase1_alpha": float,
+        "phase1_beta1": float,
+        "phase1_beta2": float,
+        "phase1_epsilon": float,
+        "phase2_epochs": int,
+        "phase2_alpha": float,
+        "phase2_beta1": float,
+        "phase2_beta2": float,
+        "phase2_epsilon": float,
+        "batch_size": int,
+        "shuffle": bool,
+        "split_level": str,
+        "keep": str,
+    },
+    "baselines": {
+        "velocity_threshold_deg_s": float,
+        "dispersion_threshold_deg": float,
+        "angle_threshold_rad": float,
+        "pca_ratio_threshold": float,
+        "window_len": int,
+    },
+    "stimulus": {
+        "rate_hz": float,
+        "screen_half_extent_deg": float,
+        "n_star_positions": int,
+        "fixation_dur_ms_min": float,
+        "fixation_dur_ms_max": float,
+        "pursuit_speed_deg_s_min": float,
+        "pursuit_speed_deg_s_max": float,
+        "saccade_dur_ms_min": float,
+        "saccade_dur_ms_max": float,
+        "noise_sigma_deg": float,
+        "tremor_sigma_deg": float,
+        "artifact_rate": float,
+        "artifact_scale": float,
+        "sequence_duration_s": float,
+    },
+    "evaluation": {
+        "confidence_steps": int,
+    },
+}
+
+
+def test_derived_schema_equals_literal():
+    assert _SCHEMA == LITERAL_SCHEMA
+
+
+@pytest.mark.parametrize("seed", [0, 7, 1234])
+def test_no_config_file_is_the_seeded_default(seed):
+    cfg = RunConfig()
+    seeded = replace(cfg, train=replace(cfg.train, seed=seed), stimulus=replace(cfg.stimulus, seed=seed))
+    assert build_run_config({}, seed=seed) == seeded
+
+
+def test_every_key_reaches_its_field(tmp_path):
+    """A file setting every key to a non-default value builds the config the
+    nested constructors build from the same values."""
+    path = tmp_path / "all.cfg"
+    path.write_text(
+        "[frontend]\nwindow_len = 40\nstride = 2\ncenter_offset = 20\ninterp_max_gap = 5\ndemean = false\n"
+        "[network]\nkernel_len = 8\npool_factor = 4\n"
+        "[training]\nphase1_epochs = 3\nphase1_alpha = 0.01\nphase1_beta1 = 0.8\nphase1_beta2 = 0.9\n"
+        "phase1_epsilon = 1e-7\nphase2_epochs = 4\nphase2_alpha = 0.02\nphase2_beta1 = 0.7\nphase2_beta2 = 0.2\n"
+        "phase2_epsilon = 1e-6\nbatch_size = 16\nshuffle = false\nsplit_level = sequence\nkeep = final\n"
+        "[baselines]\nvelocity_threshold_deg_s = 50\ndispersion_threshold_deg = 0.6\nangle_threshold_rad = 1.1\n"
+        "pca_ratio_threshold = 4\nwindow_len = 20\n"
+        "[stimulus]\nrate_hz = 250\nscreen_half_extent_deg = 10\nn_star_positions = 16\n"
+        "fixation_dur_ms_min = 150\nfixation_dur_ms_max = 350\npursuit_speed_deg_s_min = 6\n"
+        "pursuit_speed_deg_s_max = 30\nsaccade_dur_ms_min = 12\nsaccade_dur_ms_max = 90\nnoise_sigma_deg = 0.3\n"
+        "tremor_sigma_deg = 0.03\nartifact_rate = 0.01\nartifact_scale = 5\nsequence_duration_s = 2\n"
+        "[evaluation]\nconfidence_steps = 5\n"
+    )
+    expected = RunConfig(
+        frontend=FrontendConfig(window_len=40, stride=2, center_offset=20, interp_max_gap=5, demean=False),
+        train=TrainConfig(
+            phase1=PhaseConfig(3, AdamConfig(0.01, 0.8, 0.9, 1e-7)),
+            phase2=PhaseConfig(4, AdamConfig(0.02, 0.7, 0.2, 1e-6)),
+            batch_size=16,
+            seed=3,
+            shuffle=False,
+            kernel_len=8,
+            pool_factor=4,
+            keep="final",
+        ),
+        baselines=BaselineConfig(50.0, 0.6, 1.1, 4.0, 20),
+        stimulus=StimulusConfig(
+            rate_hz=250.0,
+            screen_half_extent_deg=10.0,
+            n_star_positions=16,
+            fixation_dur_ms=(150.0, 350.0),
+            pursuit_speed_deg_s=(6.0, 30.0),
+            saccade_dur_ms=(12.0, 90.0),
+            noise_sigma_deg=0.3,
+            tremor_sigma_deg=0.03,
+            artifact_rate=0.01,
+            artifact_scale=5.0,
+            seed=3,
+            sequence_duration_s=2.0,
+        ),
+        evaluation=EvaluationConfig(confidence_steps=5),
+        split_level="sequence",
+    )
+    assert load_run_config(path, seed=3) == expected
