@@ -12,11 +12,9 @@ from .gaze import (
     GazeDataError,
     GazeSequence,
     LabelClass,
-    LabelTilingError,
     Prediction,
     WindowSet,
     events_from_labels,
-    labels_from_events,
     split_dataset,
 )
 from .features import (

@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -333,20 +334,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     )
     tuned_path = report_dir / "tuned_thresholds.json"
     tuned_path.write_text(
-        json.dumps(
-            {
-                name: {
-                    "velocity_threshold_deg_s": c.velocity_threshold_deg_s,
-                    "dispersion_threshold_deg": c.dispersion_threshold_deg,
-                    "angle_threshold_rad": c.angle_threshold_rad,
-                    "pca_ratio_threshold": c.pca_ratio_threshold,
-                    "window_len": c.window_len,
-                }
-                for name, c in tuned.items()
-            },
-            indent=2,
-        )
-        + "\n",
+        json.dumps({name: asdict(c) for name, c in tuned.items()}, indent=2) + "\n",
         encoding="utf-8",
     )
 

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -27,20 +27,6 @@ CLASS_NAMES = ("fixation", "saccade", "pursuit")
 
 class GazeDataError(ValueError):
     """A gaze container or operation argument violates its invariants."""
-
-
-class LabelTilingError(GazeDataError):
-    """Events passed to labels_from_events leave a gap or overlap.
-
-    Attributes:
-        kind: "gap" or "overlap".
-        index: first sample index at which the tiling breaks.
-    """
-
-    def __init__(self, kind: str, index: int):
-        self.kind = kind
-        self.index = index
-        super().__init__(f"event tiling {kind} at sample index {index}")
 
 
 @dataclass(frozen=True)
@@ -146,28 +132,6 @@ def events_from_labels(labels: Iterable[LabelClass] | np.ndarray) -> list[Event]
     return [
         Event(LabelClass(int(arr[s])), int(s), int(e)) for s, e in zip(starts, ends)
     ]
-
-
-def labels_from_events(events: Sequence[Event], length: int) -> list[LabelClass]:
-    """Expand events back into a label list; inverse of events_from_labels.
-
-    The events must tile [0, length - 1] with no gaps or overlaps, otherwise
-    a LabelTilingError names the first offending index.
-    """
-    out: list[LabelClass] = []
-    expected = 0
-    for ev in events:
-        if ev.start_idx > expected:
-            raise LabelTilingError("gap", expected)
-        if ev.start_idx < expected:
-            raise LabelTilingError("overlap", ev.start_idx)
-        out.extend([ev.label] * ev.n_samples)
-        expected = ev.end_idx + 1
-    if expected < length:
-        raise LabelTilingError("gap", expected)
-    if expected > length:
-        raise LabelTilingError("overlap", length)
-    return out
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,8 @@
 Every CSV is UTF-8 with a header line; rows end in CRLF and no field is
 quoted. Floats are written with repr() so a write/read round trip is
 lossless, integers with str(), and an empty field stands for no value.
+The readers take exactly that, with rows ending in CRLF, LF or CR, check
+whole columns at once and report the error on the lowest row.
 
 Gaze CSV: header `t_ms,x_deg,y_deg,valid,label`, one record per line,
 decimal point, valid as 0/1, label empty or a class code 0/1/2.
@@ -13,10 +15,10 @@ label fields empty and set covered to 0.
 """
 from __future__ import annotations
 
-import csv
 import json
+from itertools import compress, repeat
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -75,57 +77,75 @@ def write_gaze_csv(seq: GazeSequence, path: str | Path) -> None:
     write_csv(path, GAZE_HEADER, [*coords, int_fields(seq.valid), _label_column(seq)])
 
 
-def _csv_rows(fh, path: Path) -> Iterator[list[str]]:
-    """csv.reader over fh; bytes that are not UTF-8 or CSV raise DataFormatError."""
+_FLAGS = {"0": False, "1": True}
+
+
+def _read_csv(path: Path, header: Sequence[str]) -> tuple[list[list[str]], tuple[int | None, int]]:
+    """One field list per column of a CSV file as write_csv writes it (rows may
+    also end in LF or CR), up to the first row without len(header) fields, and
+    that row's (index, field count), index 0 after the header; or (None, len(header))."""
     try:
-        yield from csv.reader(fh)
-    except (UnicodeDecodeError, csv.Error) as exc:
+        text = path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
         raise DataFormatError(f"{path}: {exc}") from None
+    if not text:
+        raise DataFormatError(f"{path}: empty file")
+    rows = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if not rows[-1]:  # the line end of the last row
+        rows.pop()
+    if rows.pop(0).split(",") != list(header):
+        raise DataFormatError(f"{path}: expected header {','.join(header)}")
+    k = len(header)
+    commas = list(map(str.count, rows, repeat(",")))
+    short = (None, k)
+    if commas.count(k - 1) != len(rows):  # a blank line has no field
+        short = next((i, c + 1 if rows[i] else 0) for i, c in enumerate(commas) if c != k - 1)
+        rows = rows[: short[0]]
+    fields = ",".join(rows).split(",") if rows else []
+    return [fields[j::k] for j in range(k)], short
+
+
+def _parse(fields: Sequence[str], parse: Callable[[str], object]) -> tuple[list, int | None]:
+    """The fields read by parse, up to the first one it rejects (ValueError or
+    KeyError), and that one's index; None if parse reads them all."""
+    try:
+        return list(map(parse, fields)), None
+    except (ValueError, KeyError):
+        values = []
+        for field in fields:
+            try:
+                values.append(parse(field))
+            except (ValueError, KeyError):
+                return values, len(values)
+        raise
+
+
+def _raise_first(path: Path, failures: Sequence[tuple[int | None, str]]) -> None:
+    """Raise the failure on the lowest row. A failure is (index of the first row
+    that fails a check, or None; message), listed in the per-row order of the
+    checks, so that of two failures on one row the earlier one wins."""
+    first = min(((row, k, message) for k, (row, message) in enumerate(failures) if row is not None), default=None)
+    if first is not None:
+        raise DataFormatError(f"{path}:{first[0] + 2}: {first[2]}")
 
 
 def read_gaze_csv(path: str | Path, source_id: str | None = None) -> GazeSequence:
     path = Path(path)
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = _csv_rows(fh, path)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataFormatError(f"{path}: empty file") from None
-        if header != GAZE_HEADER:
-            raise DataFormatError(f"{path}: expected header {','.join(GAZE_HEADER)}")
-        t, x, y, v, lab = [], [], [], [], []
-        have_labels = None
-        for row_no, row in enumerate(reader, start=2):
-            if len(row) != 5:
-                raise DataFormatError(f"{path}:{row_no}: expected 5 fields, got {len(row)}")
-            try:
-                t.append(float(row[0]))
-                x.append(float(row[1]))
-                y.append(float(row[2]))
-            except ValueError:
-                raise DataFormatError(f"{path}:{row_no}: non-numeric coordinate") from None
-            if row[3] not in ("0", "1"):
-                raise DataFormatError(f"{path}:{row_no}: valid flag must be 0 or 1")
-            v.append(row[3] == "1")
-            row_has_label = row[4] != ""
-            if have_labels is None:
-                have_labels = row_has_label
-            elif have_labels != row_has_label:
-                raise DataFormatError(f"{path}:{row_no}: mixed labeled/unlabeled rows")
-            if row_has_label:
-                if row[4] not in ("0", "1", "2"):
-                    raise DataFormatError(f"{path}:{row_no}: label must be 0, 1 or 2")
-                lab.append(int(row[4]))
-    labels = np.array(lab, dtype=np.int8) if have_labels else None
+    (*coords, v, lab), (short, n_fields) = _read_csv(path, GAZE_HEADER)
+    (t, bad_t), (x, bad_x), (y, bad_y) = (_parse(c, float) for c in coords)
+    valid, bad_valid = _parse(v, _FLAGS.__getitem__)
+    labeled = bool(lab) and lab[0] != ""  # the first row decides
+    labels, bad_label = _parse(lab, ({"0": 0, "1": 1, "2": 2} if labeled else {"": None}).__getitem__)
+    mixed = bad_label is not None and (lab[bad_label] != "") != labeled
+    _raise_first(path, [
+        (short, f"expected 5 fields, got {n_fields}"),
+        *((bad, "non-numeric coordinate") for bad in (bad_t, bad_x, bad_y)),
+        (bad_valid, "valid flag must be 0 or 1"),
+        (bad_label if mixed else None, "mixed labeled/unlabeled rows"),
+        (bad_label, "label must be 0, 1 or 2"),
+    ])
     try:
-        return GazeSequence(
-            t_ms=np.array(t),
-            x_deg=np.array(x),
-            y_deg=np.array(y),
-            valid=np.array(v, dtype=bool),
-            labels=labels,
-            source_id=source_id if source_id is not None else path.stem,
-        )
+        return GazeSequence(t, x, y, valid, labels if labeled else None, path.stem if source_id is None else source_id)
     except ValueError as exc:
         raise DataFormatError(f"{path}: {exc}") from None
 
@@ -137,47 +157,26 @@ def write_predictions_csv(preds: DetectorOutput, path: str | Path) -> None:
 
 def read_predictions_csv(path: str | Path) -> DetectorOutput:
     path = Path(path)
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = _csv_rows(fh, path)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataFormatError(f"{path}: empty file") from None
-        if header != PRED_HEADER:
-            raise DataFormatError(f"{path}: expected header {','.join(PRED_HEADER)}")
-        idx, scores, labels = [], [], []
-        n = 0
-        for row_no, row in enumerate(reader, start=2):
-            if len(row) != 6:
-                raise DataFormatError(f"{path}:{row_no}: expected 6 fields")
-            try:
-                sample_idx = int(row[0])
-            except ValueError:
-                raise DataFormatError(f"{path}:{row_no}: bad sample index") from None
-            if sample_idx != n:
-                raise DataFormatError(f"{path}:{row_no}: sample indices must be consecutive")
-            n += 1
-            if row[5] == "1":
-                try:
-                    triple = [float(row[1]), float(row[2]), float(row[3])]
-                    label = int(row[4])
-                except ValueError:
-                    raise DataFormatError(f"{path}:{row_no}: bad covered row") from None
-                idx.append(sample_idx)
-                scores.append(triple)
-                labels.append(label)
-            elif row[5] == "0":
-                if any(row[k] != "" for k in (1, 2, 3, 4)):
-                    raise DataFormatError(f"{path}:{row_no}: uncovered rows must be empty")
-            else:
-                raise DataFormatError(f"{path}:{row_no}: covered flag must be 0 or 1")
+    (idx, *p, lab, cov), (short, _) = _read_csv(path, PRED_HEADER)
+    idx, bad_idx = _parse(idx, int)
+    jump = None if idx == list(range(len(idx))) else next(i for i, n in enumerate(idx) if n != i)
+    flags, bad_flag = _parse(cov, _FLAGS.__getitem__)
+    covered = list(compress(range(len(flags)), flags))
+    scores = [_parse([c[i] for i in covered], float) for c in p]
+    labels = _parse([lab[i] for i in covered], int)
+    _raise_first(path, [
+        (short, "expected 6 fields"),
+        (bad_idx, "bad sample index"),
+        (jump, "sample indices must be consecutive"),
+        *((None if bad is None else covered[bad], "bad covered row") for _, bad in (*scores, labels)),
+        (next((i for i, f in enumerate(cov) if f == "0" and any(c[i] for c in (*p, lab))), None),
+         "uncovered rows must be empty"),
+        (bad_flag, "covered flag must be 0 or 1"),
+    ])
+    # clipped to -1..3, a label that is no class code fails the argmax check, never int8 overflow
+    labels = np.clip(labels[0], -1, N_CLASSES)
     try:
-        return DetectorOutput(
-            n_samples=n,
-            sample_idx=np.array(idx, dtype=np.int64),
-            scores=np.array(scores, dtype=np.float64).reshape(len(idx), N_CLASSES),
-            labels=np.array(labels, dtype=np.int8),
-        )
+        return DetectorOutput(len(cov), covered, np.column_stack([s for s, _ in scores]), labels)
     except ValueError as exc:
         raise DataFormatError(f"{path}: {exc}") from None
 

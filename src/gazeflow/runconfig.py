@@ -119,11 +119,12 @@ def _parse_value(section: str, key: str, raw: str, target: type):
             return False
         raise ConfigError(f"[{section}] {key}: expected a boolean, got {raw!r}")
     try:
-        return target(raw)
+        value = target(raw)
     except ValueError:
-        raise ConfigError(
-            f"[{section}] {key}: expected {target.__name__}, got {raw!r}"
-        ) from None
+        raise ConfigError(f"[{section}] {key}: expected {target.__name__}, got {raw!r}") from None
+    if target is float and not np.isfinite(value):
+        raise ConfigError(f"[{section}] {key}: expected a finite number, got {raw!r}")
+    return value
 
 
 def load_run_config(path: str | Path, seed: int = 0) -> RunConfig:

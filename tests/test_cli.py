@@ -363,6 +363,27 @@ class TestDataErrors:
         assert len(err) == 1 and "kernel_len = 30" in err[0] and "window_len = 30" in err[0]
         assert not (tmp_path / "m.gznn").exists()
 
+    @pytest.mark.parametrize(
+        "command, section, key, value",
+        [
+            ("detect", "baselines", "velocity_threshold_deg_s", "nan"),
+            ("synth", "stimulus", "noise_sigma_deg", "inf"),
+            ("train", "training", "phase1_alpha", "nan"),
+        ],
+    )
+    def test_non_finite_config_value_exit2(self, tmp_path, tiny_config, capsys, command, section, key, value):
+        data = synth(tmp_path, tiny_config, n=4, seed=5)
+        cfg = tmp_path / "non_finite.cfg"
+        cfg.write_text(f"[{section}]\n{key} = {value}\n")
+        argv = {
+            "detect": ["detect", "--baseline", "ivt", "--in", str(data / "seq-0000.csv"), "--out", str(tmp_path / "p.csv")],
+            "synth": ["synth", "--out-dir", str(tmp_path / "o"), "--sequences", "1"],
+            "train": ["train", "--data-dir", str(data), "--out", str(tmp_path / "m.gznn")],
+        }[command]
+        capsys.readouterr()
+        assert main([*argv, "--config", str(cfg)]) == 2
+        assert f"[{section}] {key}" in one_error_line(capsys)
+
     def test_unknown_config_key_exit2(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("[training]\nwarp_speed = 9\n")
@@ -393,7 +414,13 @@ class TestCompare:
         # mean_auc column sorted descending
         aucs = [float(l.split(",")[4]) for l in lines[1:]]
         assert aucs == sorted(aucs, reverse=True)
-        assert (report_dir / "tuned_thresholds.json").is_file()
+        tuned = json.loads((report_dir / "tuned_thresholds.json").read_text())
+        assert list(tuned) == ["ivt", "ivt-idt", "ivmp", "pca"]
+        for c in tuned.values():
+            assert list(c) == [
+                "velocity_threshold_deg_s", "dispersion_threshold_deg", "angle_threshold_rad",
+                "pca_ratio_threshold", "window_len",
+            ]
 
     def test_compare_deterministic(self, tmp_path, tiny_config):
         data = synth(tmp_path, tiny_config, n=8, seed=6)

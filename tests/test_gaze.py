@@ -6,11 +6,9 @@ from gazeflow.gaze import (
     GazeDataError,
     GazeSequence,
     LabelClass,
-    LabelTilingError,
     Prediction,
     WindowSet,
     events_from_labels,
-    labels_from_events,
     split_dataset,
 )
 
@@ -41,47 +39,20 @@ class TestEventsFromLabels:
         labels = rng.integers(0, 3, size=1000)
         events = events_from_labels(labels)
         assert [(int(e.label), e.start_idx, e.end_idx) for e in events] == rle_oracle(labels)
-        restored = labels_from_events(events, 1000)
-        assert [int(c) for c in restored] == labels.tolist()
+        restored = [int(e.label) for e in events for _ in range(e.n_samples)]
+        assert restored == labels.tolist()
         # adjacent events always differ in class
         for a, b in zip(events, events[1:]):
             assert a.label != b.label
             assert b.start_idx == a.end_idx + 1
-
-
-class TestLabelsFromEvents:
-    def test_inverse_of_hand_example(self):
-        events = [Event(F, 0, 1), Event(S, 2, 3), Event(F, 4, 4)]
-        assert labels_from_events(events, 5) == [F, F, S, S, F]
-
-    def test_empty(self):
-        assert labels_from_events([], 0) == []
-
-    def test_overlap_error_names_index(self):
-        events = [Event(F, 0, 2), Event(S, 2, 4)]
-        with pytest.raises(LabelTilingError) as exc:
-            labels_from_events(events, 5)
-        assert exc.value.kind == "overlap"
-        assert exc.value.index == 2
-
-    def test_gap_error_names_index(self):
-        with pytest.raises(LabelTilingError) as exc:
-            labels_from_events([Event(F, 0, 1), Event(S, 3, 4)], 5)
-        assert exc.value.kind == "gap"
-        assert exc.value.index == 2
-
-    def test_trailing_gap(self):
-        with pytest.raises(LabelTilingError) as exc:
-            labels_from_events([Event(F, 0, 1)], 5)
-        assert exc.value.kind == "gap"
-        assert exc.value.index == 2
 
     def test_round_trip_property(self):
         rng = np.random.default_rng(13)
         for _ in range(25):
             n = int(rng.integers(1, 80))
             labels = [LabelClass(int(c)) for c in rng.integers(0, 3, n)]
-            assert labels_from_events(events_from_labels(labels), n) == labels
+            events = events_from_labels(labels)
+            assert [e.label for e in events for _ in range(e.n_samples)] == labels
 
 
 class TestPrediction:
