@@ -178,7 +178,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
         preds = cnn_detect(model, seq, cfg.frontend)
     else:
         detector = BASELINE_DETECTORS[args.baseline]
-        preds = detector(seq, cfg.baselines)
+        preds = detector(seq, cfg.baselines, cfg.frontend.interp_max_gap)
     write_predictions_csv(preds, args.out)
     print(f"wrote predictions for {preds.sample_idx.shape[0]}/{preds.n_samples} samples to {args.out}")
     return EXIT_OK
@@ -292,21 +292,17 @@ def cmd_compare(args: argparse.Namespace) -> int:
     if not val_seqs or not test_seqs:
         raise CliError(EXIT_DATA, "too few sequences for a validation/test split")
 
-    tuned = tune_baselines(val_seqs, window_len=cfg.baselines.window_len)
+    max_gap = cfg.frontend.interp_max_gap
+    tuned = tune_baselines(val_seqs, window_len=cfg.baselines.window_len, max_gap=max_gap)
 
     rows = []
-    detectors: dict[str, tuple] = {"cnn": (None, tuple(LabelClass))}
-    for name in BASELINE_DETECTORS:
-        detectors[name] = (tuned[name], BASELINE_EVAL_CLASSES[name])
-
     truth_all = np.concatenate([s.labels for s in test_seqs])
-    for name, (bl_cfg, classes) in detectors.items():
-        outs = []
-        for seq in test_seqs:
-            if name == "cnn":
-                outs.append(cnn_detect(model, seq, cfg.frontend))
-            else:
-                outs.append(BASELINE_DETECTORS[name](seq, bl_cfg))
+    for name in ("cnn", *BASELINE_DETECTORS):
+        if name == "cnn":
+            outs = [cnn_detect(model, seq, cfg.frontend) for seq in test_seqs]
+        else:
+            outs = [BASELINE_DETECTORS[name](seq, tuned[name], max_gap) for seq in test_seqs]
+        classes = BASELINE_EVAL_CLASSES.get(name, tuple(LabelClass))
         pooled = concat_outputs(outs)
         ova = one_vs_all_auc(pooled, truth_all)
         mean_auc = float(np.mean([ova.curves[int(c)].auc for c in classes]))

@@ -7,13 +7,18 @@ and are built so that each channel is monotone in the detector's underlying
 statistic, which lets the same output feed thresholded labeling, ROC sweeps
 and the prediction CSV without translation.
 
-The threshold baselines share a two-stage shape: stage 1 marks samples whose
-central-difference velocity exceeds a threshold as saccades; stage 2 runs a
-sliding window over the remaining spans and separates fixation from pursuit
-by dispersion, mean turning angle, or the eigenvalue ratio of the window's
-point covariance. Stage 2 is computed for a whole sequence at once: every
-sample's window is clipped to its own span, so windows never cross a
-detected saccade or a tracking gap.
+The threshold baselines share one stage 1: gaps of up to the frontend's
+interp_max_gap samples are repaired, the central-difference velocity is
+taken, and a sample is covered when the window centred on it is one the
+frontend keeps (features.window_starts): a window_len window for the
+cascades, a 3-sample window for velocity thresholding. Stage 1 marks samples
+whose velocity exceeds a threshold as saccades. Stage 2 of each cascade,
+given by the STAGE2 table that tuning reads too, runs a sliding window over
+the remaining spans and separates fixation from pursuit by dispersion, mean
+turning angle, or the eigenvalue ratio of the window's point covariance.
+Stage 2 is computed for a whole sequence at once: every sample's window is
+clipped to its own span, so windows never cross a detected saccade or a
+tracking gap.
 """
 from __future__ import annotations
 
@@ -23,11 +28,10 @@ from typing import Callable
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .features import FrontendConfig, featurize_sequence, repair_sequence
+from .features import FrontendConfig, featurize_sequence, repair_sequence, window_starts
 from .gaze import GazeSequence, N_CLASSES, LabelClass
-from .net import NetworkParams, forward_batch
+from .net import FORWARD_CHUNK, NetworkParams, forward_batch
 
-REPAIR_MAX_GAP = 3  # samples; matches the frontend default
 EPS_VAR = 1e-12  # variance floor for the eigenvalue ratio
 
 
@@ -74,7 +78,7 @@ class DetectorOutput:
     def __post_init__(self):
         idx = np.asarray(self.sample_idx, dtype=np.int64)
         scores = np.asarray(self.scores, dtype=np.float64)
-        labels = np.asarray(self.labels, dtype=np.int8)
+        labels = np.asarray(self.labels)
         m = idx.shape[0]
         if scores.shape != (m, N_CLASSES) or labels.shape != (m,):
             raise DetectorError("scores/labels must match the covered sample count")
@@ -84,8 +88,10 @@ class DetectorOutput:
             raise DetectorError("sample indices must be strictly increasing")
         if not np.isfinite(scores).all():
             raise DetectorError("scores must be finite")
+        # on the given values: a cast first would wrap 256 to the class code 0
         if m and not np.array_equal(labels, scores.argmax(axis=1)):
             raise DetectorError("labels must equal argmax(scores) with lowest-code ties")
+        labels = labels.astype(np.int8, copy=False)
         for name, arr in (("sample_idx", idx), ("scores", scores), ("labels", labels)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -112,13 +118,13 @@ def cnn_detect(
     model: NetworkParams,
     seq: GazeSequence,
     frontend: FrontendConfig = FrontendConfig(),
-    chunk: int = 65536,
 ) -> DetectorOutput:
     """Score every window center with the trained network."""
     centers, feats = featurize_sequence(seq, frontend)
     probs = np.empty((feats.shape[0], N_CLASSES))
-    for lo in range(0, feats.shape[0], chunk):
-        probs[lo : lo + chunk] = forward_batch(model, feats[lo : lo + chunk]).probs
+    for lo in range(0, feats.shape[0], FORWARD_CHUNK):
+        batch = slice(lo, lo + FORWARD_CHUNK)
+        probs[batch] = forward_batch(model, feats[batch]).probs
     return DetectorOutput(
         n_samples=len(seq),
         sample_idx=centers,
@@ -284,147 +290,110 @@ def stage2_statistics(
 # ---------------------------------------------------------------------------
 # baseline detectors
 
+# Stage 2 of each cascade: name -> (statistic, BaselineConfig threshold field,
+# pursuit side). Side +1 labels a window pursuit when its statistic is above
+# the threshold, side -1 when it is below. Detection and tuning both read it.
+STAGE2: dict[str, tuple[str, str, int]] = {
+    "ivt-idt": ("dispersion", "dispersion_threshold_deg", 1),
+    "ivmp": ("turn_angle", "angle_threshold_rad", -1),
+    "pca": ("eigen_ratio", "pca_ratio_threshold", 1),
+}
 
-@dataclass(frozen=True)
-class _Stage1:
-    x: np.ndarray
-    y: np.ndarray
-    bad: np.ndarray
-    v: np.ndarray
-    sac: np.ndarray  # velocity above threshold
-    covered_idx: np.ndarray  # window-coverage sample indices
 
-
-def _prepare(seq: GazeSequence, config: BaselineConfig) -> _Stage1:
+def _prepare(
+    seq: GazeSequence, window_len: int, max_gap: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Stage 1 inputs (x, y, still_bad, velocity, covered sample indices): gaps
+    of up to max_gap samples repaired, windows centred window_len // 2 in."""
     n = len(seq)
-    if n < config.window_len:
-        raise DetectorError(
-            f"sequence of {n} samples is shorter than the analysis window ({config.window_len})"
-        )
-    x, y, bad = repair_sequence(seq, REPAIR_MAX_GAP)
+    if n < window_len:
+        raise DetectorError(f"sequence of {n} samples is shorter than the analysis window ({window_len})")
+    x, y, bad = repair_sequence(seq, max_gap)
     v = _velocity_array(seq.t_ms, x, y, bad)
-    with np.errstate(invalid="ignore"):
-        sac = v > config.velocity_threshold_deg_s
-    off_l = config.window_len // 2
-    ok = ~bad
-    full = sliding_window_view(ok, config.window_len).all(axis=1)
-    covered_idx = np.flatnonzero(full) + off_l
-    return _Stage1(x, y, bad, v, sac, covered_idx)
+    return x, y, bad, v, window_starts(bad, window_len) + window_len // 2
 
 
-def _assemble(
-    n_samples: int,
-    covered_idx: np.ndarray,
-    v: np.ndarray,
-    sac: np.ndarray,
-    rho_pur: np.ndarray,
-    tau_v: float,
-) -> DetectorOutput:
-    """Build normalized score triples from stage-1/stage-2 statistics.
-
-    The saccade channel is v / (tau_v + v), kept above 1/2 for thresholded
-    samples and scaled below 1/3 otherwise so the argmax reproduces the
-    two-stage decision rule; the remainder is split between fixation and
-    pursuit by the stage-2 pursuit ratio rho_pur.
-    """
-    vc = v[covered_idx]
-    m = vc / (tau_v + vc)
-    is_sac = sac[covered_idx]
-    p_sac = np.where(is_sac, m, (2.0 / 3.0) * m)
+def _output(n_samples: int, covered: np.ndarray, p_sac: np.ndarray, rho) -> DetectorOutput:
+    """Score triples from the saccade score and the pursuit share rho of the rest."""
     rem = 1.0 - p_sac
-    rho = rho_pur[covered_idx]
-    rho = np.where(np.isfinite(rho), rho, 0.5)
     p_pur = rem * rho
-    p_fix = rem - p_pur
-    scores = np.stack([p_fix, p_sac, p_pur], axis=1)
-    return DetectorOutput(
-        n_samples=n_samples,
-        sample_idx=covered_idx,
-        scores=scores,
-        labels=scores.argmax(axis=1),
-    )
+    scores = np.stack([rem - p_pur, p_sac, p_pur], axis=1)
+    return DetectorOutput(n_samples, covered, scores, scores.argmax(axis=1))
 
 
-def ivt_detect(seq: GazeSequence, config: BaselineConfig = BaselineConfig()) -> DetectorOutput:
+def ivt_detect(
+    seq: GazeSequence, config: BaselineConfig = BaselineConfig(), max_gap: int = FrontendConfig.interp_max_gap
+) -> DetectorOutput:
     """Binary velocity thresholding: saccade where speed exceeds the threshold.
 
-    Non-saccade samples are labeled fixation; the pursuit channel is
-    constant because this detector cannot see pursuits.
+    The saccade score is v / (tau_v + v) over the samples whose 3-sample
+    window is usable; non-saccades are fixations, and the pursuit channel is
+    zero because this detector cannot see pursuits.
     """
-    n = len(seq)
-    if n < 3:
-        raise DetectorError("velocity thresholding needs at least 3 samples")
-    x, y, bad = repair_sequence(seq, REPAIR_MAX_GAP)
-    v = _velocity_array(seq.t_ms, x, y, bad)
-    usable = np.isfinite(v) & ~bad
-    covered_idx = np.flatnonzero(usable)
-    vc = v[covered_idx]
-    tau = config.velocity_threshold_deg_s
-    p_sac = vc / (tau + vc)
-    scores = np.stack([1.0 - p_sac, p_sac, np.zeros_like(p_sac)], axis=1)
-    return DetectorOutput(
-        n_samples=n,
-        sample_idx=covered_idx,
-        scores=scores,
-        labels=scores.argmax(axis=1),
-    )
+    _, _, _, v, covered = _prepare(seq, 3, max_gap)
+    vc = v[covered]
+    return _output(len(seq), covered, vc / (config.velocity_threshold_deg_s + vc), 0.0)
 
 
-def _two_stage_detect(
-    seq: GazeSequence, config: BaselineConfig, kind: str, rho_fn: Callable[[np.ndarray], np.ndarray]
+def _two_stage_detect(seq: GazeSequence, config: BaselineConfig, name: str, max_gap: int) -> DetectorOutput:
+    """Velocity stage, then the STAGE2 statistic of `name` over the non-saccade spans.
+
+    The saccade score v / (tau_v + v) stays above 1/2 for thresholded samples
+    and is scaled below 1/3 otherwise, so the argmax reproduces the cascade.
+    The rest is split by the pursuit share s / (s + t) of the statistic s and
+    the threshold t, both on the pursuit side: above 1/2 when the window is
+    a pursuit, and 1/2 where it is undefined.
+    """
+    kind, field_name, side = STAGE2[name]
+    x, y, bad, v, covered = _prepare(seq, config.window_len, max_gap)
+    tau_v = config.velocity_threshold_deg_s
+    sac = v > tau_v
+    stat = stage2_statistics(x, y, ~sac & ~bad, config.window_len, (kind,))[kind][covered]
+    vc = v[covered]
+    m = vc / (tau_v + vc)
+    p_sac = np.where(sac[covered], m, (2.0 / 3.0) * m)
+    tau = getattr(config, field_name)
+    # on the pursuit side; the one side -1 statistic, the turning angle, is at most pi
+    s, t = (stat, tau) if side > 0 else (np.pi - stat, np.pi - tau)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        rho = s / (s + t)
+    rho = np.where((s + t > 0) & np.isfinite(rho), rho, 0.5)
+    return _output(len(seq), covered, p_sac, rho)
+
+
+def ivt_idt_detect(
+    seq: GazeSequence, config: BaselineConfig = BaselineConfig(), max_gap: int = FrontendConfig.interp_max_gap
 ) -> DetectorOutput:
-    st = _prepare(seq, config)
-    span_mask = ~st.sac & ~st.bad
-    stats = stage2_statistics(st.x, st.y, span_mask, config.window_len, (kind,))
-    rho = rho_fn(stats[kind])
-    return _assemble(len(seq), st.covered_idx, st.v, st.sac, rho, config.velocity_threshold_deg_s)
-
-
-def ivt_idt_detect(seq: GazeSequence, config: BaselineConfig = BaselineConfig()) -> DetectorOutput:
     """Velocity stage for saccades, dispersion stage for fixation vs pursuit.
 
     Dispersion is (x-range + y-range) over the span-clipped window; windows
     at or below the threshold are fixations.
     """
-    tau_d = config.dispersion_threshold_deg
-
-    def rho(d: np.ndarray) -> np.ndarray:
-        return d / (d + tau_d)
-
-    return _two_stage_detect(seq, config, "dispersion", rho)
+    return _two_stage_detect(seq, config, "ivt-idt", max_gap)
 
 
-def ivmp_detect(seq: GazeSequence, config: BaselineConfig = BaselineConfig()) -> DetectorOutput:
+def ivmp_detect(
+    seq: GazeSequence, config: BaselineConfig = BaselineConfig(), max_gap: int = FrontendConfig.interp_max_gap
+) -> DetectorOutput:
     """Velocity stage, then mean turning angle between successive displacements.
 
     Direction-incoherent windows (mean angle at or above the threshold) are
     fixations; coherent drift is pursuit. The pursuit score grows with
     (pi - mean angle).
     """
-    sigma_tau = np.pi - config.angle_threshold_rad
-
-    def rho(mean_angle: np.ndarray) -> np.ndarray:
-        s = np.pi - mean_angle
-        denom = s + sigma_tau
-        with np.errstate(invalid="ignore", divide="ignore"):
-            return np.where(denom > 0, s / denom, 0.5)
-
-    return _two_stage_detect(seq, config, "turn_angle", rho)
+    return _two_stage_detect(seq, config, "ivmp", max_gap)
 
 
-def pca_ratio_detect(seq: GazeSequence, config: BaselineConfig = BaselineConfig()) -> DetectorOutput:
+def pca_ratio_detect(
+    seq: GazeSequence, config: BaselineConfig = BaselineConfig(), max_gap: int = FrontendConfig.interp_max_gap
+) -> DetectorOutput:
     """Velocity stage, then the eigenvalue ratio of the window covariance.
 
     Isotropic scatter gives a ratio near one (fixation); directed drift
     stretches the covariance and pushes the ratio above the threshold
     (pursuit). Degenerate windows fall back to ratio 1 via a variance floor.
     """
-    tau_r = config.pca_ratio_threshold
-
-    def rho(r: np.ndarray) -> np.ndarray:
-        return r / (r + tau_r)
-
-    return _two_stage_detect(seq, config, "eigen_ratio", rho)
+    return _two_stage_detect(seq, config, "pca", max_gap)
 
 
 def concat_outputs(outputs: list[DetectorOutput]) -> DetectorOutput:
@@ -448,7 +417,7 @@ def concat_outputs(outputs: list[DetectorOutput]) -> DetectorOutput:
     )
 
 
-BASELINE_DETECTORS: dict[str, Callable[[GazeSequence, BaselineConfig], DetectorOutput]] = {
+BASELINE_DETECTORS: dict[str, Callable[..., DetectorOutput]] = {
     "ivt": ivt_detect,
     "ivt-idt": ivt_idt_detect,
     "ivmp": ivmp_detect,

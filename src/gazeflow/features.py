@@ -96,20 +96,20 @@ def repair_sequence(seq: GazeSequence, max_gap: int) -> tuple[np.ndarray, np.nda
     return x, y, still_bad
 
 
-def window_starts(still_bad: np.ndarray, config: FrontendConfig = FrontendConfig()) -> np.ndarray:
-    """Start indices of the windows the frontend keeps.
+def window_starts(still_bad: np.ndarray, window_len: int, stride: int = 1) -> np.ndarray:
+    """Start indices of the windows kept: the one window rule of the package.
 
     One window starts every stride samples; a window is kept when it holds
     no sample that is still invalid after repair (still_bad, as returned by
-    repair_sequence). A sequence shorter than one window keeps none.
+    repair_sequence). A sequence shorter than one window keeps none. The
+    frontend and every baseline detector cover samples by this rule.
     """
     n = still_bad.shape[0]
-    L = config.window_len
-    if n < L:
+    if n < window_len:
         return np.empty(0, dtype=np.int64)
-    starts = np.arange(0, n - L + 1, config.stride)
+    starts = np.arange(0, n - window_len + 1, stride)
     if still_bad.any():
-        bad_in_window = sliding_window_view(still_bad, L).any(axis=1)
+        bad_in_window = sliding_window_view(still_bad, window_len).any(axis=1)
         starts = starts[~bad_in_window[starts]]
     return starts
 
@@ -121,7 +121,7 @@ def yields_windows(seq: GazeSequence, config: FrontendConfig = FrontendConfig())
     training windows, so a split of them matches a by-sequence training split.
     """
     _, _, still_bad = repair_sequence(seq, config.interp_max_gap)
-    return window_starts(still_bad, config).size > 0
+    return window_starts(still_bad, config.window_len, config.stride).size > 0
 
 
 def featurize_sequence(
@@ -139,7 +139,7 @@ def featurize_sequence(
     if n < L:
         raise FeatureError(f"sequence of {n} samples is shorter than one window ({L})")
     x, y, bad = repair_sequence(seq, config.interp_max_gap)
-    starts = window_starts(bad, config)
+    starts = window_starts(bad, L, config.stride)
     if starts.size == 0:
         return starts, np.empty((0, L, 2), dtype=np.float64)
 

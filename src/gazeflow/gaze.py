@@ -60,11 +60,13 @@ class GazeSequence:
             raise GazeDataError("valid samples must have finite coordinates")
         labels = self.labels
         if labels is not None:
-            labels = np.asarray(labels, dtype=np.int8)
+            labels = np.asarray(labels)
             if labels.shape != (n,):
                 raise GazeDataError("labels must match the number of samples")
-            if n and (labels.min() < 0 or labels.max() >= N_CLASSES):
+            # checked before the int8 cast, which would wrap 256 to 0
+            if n and not (labels.min() >= 0 and labels.max() < N_CLASSES):
                 raise GazeDataError("labels must be class codes 0, 1 or 2")
+            labels = labels.astype(np.int8, copy=False)
             labels.setflags(write=False)
         for name, arr in (("t_ms", t), ("x_deg", x), ("y_deg", y), ("valid", v)):
             arr.setflags(write=False)

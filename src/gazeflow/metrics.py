@@ -142,22 +142,33 @@ def confusion(preds: DetectorOutput, truth: np.ndarray) -> ConfusionMatrix:
     return ConfusionMatrix(confusion_counts(true_lab, pred_lab))
 
 
+def prf_from_counts(counts: np.ndarray) -> PrfReport:
+    """One-vs-rest report of (..., 3, 3) confusion counts, row = ground truth.
+
+    Leading axes carry through: each field holds (..., 3) values, one per
+    class along the last axis. A measure with a zero denominator is 0.
+    """
+    counts = np.asarray(counts, dtype=np.float64)
+    total = counts.sum(axis=(-2, -1))[..., None]
+    tp = np.diagonal(counts, axis1=-2, axis2=-1)
+    fp = counts.sum(axis=-2) - tp
+    fn = counts.sum(axis=-1) - tp
+    tn = total - tp - fp - fn
+
+    def ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+        return np.divide(num, den, out=np.zeros(tp.shape), where=den > 0)
+
+    precision = ratio(tp, tp + fp)
+    recall = ratio(tp, tp + fn)
+    pr = precision + recall
+    return PrfReport(ratio(tp + tn, total), precision, recall, ratio(2 * precision * recall, pr))
+
+
 def prf_from_confusion(cm: ConfusionMatrix) -> PrfReport:
     """Derive the one-vs-rest report from a confusion matrix."""
-    counts = cm.counts.astype(np.float64)
-    total = counts.sum()
-    if total == 0:
+    if cm.counts.sum() == 0:
         raise EvalError("empty confusion matrix")
-    tp = np.diag(counts)
-    fp = counts.sum(axis=0) - tp
-    fn = counts.sum(axis=1) - tp
-    tn = total - tp - fp - fn
-    accuracy = (tp + tn) / total
-    precision = np.divide(tp, tp + fp, out=np.zeros(N_CLASSES), where=(tp + fp) > 0)
-    recall = np.divide(tp, tp + fn, out=np.zeros(N_CLASSES), where=(tp + fn) > 0)
-    pr = precision + recall
-    f1 = np.divide(2 * precision * recall, pr, out=np.zeros(N_CLASSES), where=pr > 0)
-    return PrfReport(accuracy, precision, recall, f1)
+    return prf_from_counts(cm.counts)
 
 
 def prf(preds: DetectorOutput, truth: np.ndarray) -> PrfReport:

@@ -31,6 +31,7 @@ from .gaze import DatasetSplit, N_CLASSES, Prediction, WindowSet
 PROB_FLOOR = 1e-12
 N_FILTERS = 10
 N_CHANNELS = 2
+FORWARD_CHUNK = 65536  # windows per forward pass when scoring many windows
 
 _PARAM_FIELDS = ("conv_w", "conv_b", "dense_w", "dense_b")
 
@@ -478,14 +479,15 @@ def init_params(
     )
 
 
-def frame_accuracy(params: NetworkParams, windows: WindowSet, chunk: int = 65536) -> float:
+def frame_accuracy(params: NetworkParams, windows: WindowSet) -> float:
     """Mean fraction of windows whose argmax prediction matches the label."""
     if len(windows) == 0:
         raise TrainingError("cannot score an empty window set")
     correct = 0
-    for lo in range(0, len(windows), chunk):
-        cache = forward_batch(params, windows.features[lo : lo + chunk])
-        correct += int((cache.probs.argmax(axis=1) == windows.labels[lo : lo + chunk]).sum())
+    for lo in range(0, len(windows), FORWARD_CHUNK):
+        batch = slice(lo, lo + FORWARD_CHUNK)
+        cache = forward_batch(params, windows.features[batch])
+        correct += int((cache.probs.argmax(axis=1) == windows.labels[batch]).sum())
     return correct / len(windows)
 
 

@@ -11,8 +11,8 @@ import pytest
 
 import gazeflow.cli as cli
 from gazeflow.cli import main
-from gazeflow.detectors import DetectorOutput, cnn_detect
-from gazeflow.gaze import CLASS_NAMES, LabelClass, events_from_labels, split_dataset
+from gazeflow.detectors import BASELINE_DETECTORS, DetectorOutput, cnn_detect
+from gazeflow.gaze import CLASS_NAMES, GazeSequence, LabelClass, events_from_labels, split_dataset
 from gazeflow.gaze_io import read_gaze_csv, read_manifest, read_predictions_csv, write_gaze_csv
 from gazeflow.metrics import (
     confidence_accuracy,
@@ -25,6 +25,7 @@ from gazeflow.metrics import (
 from gazeflow.model_io import load_model, model_crc, save_model
 from gazeflow.net import init_params
 from gazeflow.simulate import StimulusConfig, generate_sequence
+from gazeflow.tuning import tune_baselines
 
 TINY_CONFIG = """
 [training]
@@ -473,6 +474,73 @@ class TestCompare:
             ["compare", "--data-dir", str(data), "--model", str(tmp_path / "no.gznn"), "--report-dir", str(tmp_path / "r")]
         )
         assert code in (3, 4)  # unreadable model file
+
+
+class TestBaselineRepairGap:
+    """The baselines repair gaps up to [frontend] interp_max_gap, as the frontend does."""
+
+    DROPOUT = 100
+
+    def recording(self, tmp_path):
+        seq = generate_sequence(StimulusConfig(seed=3, sequence_duration_s=1.0), 0).sequence
+        valid = seq.valid.copy()
+        valid[self.DROPOUT] = False
+        path = tmp_path / "dropout.csv"
+        write_gaze_csv(replace(seq, x_deg=np.where(valid, seq.x_deg, np.nan), valid=valid), path)
+        return path
+
+    @pytest.mark.parametrize("baseline", ["ivt", "ivt-idt", "ivmp", "pca"])
+    def test_no_repair_uncovers_the_windows_around_a_dropout(self, tmp_path, baseline):
+        rec = self.recording(tmp_path)
+        no_repair = tmp_path / "gap0.cfg"
+        no_repair.write_text("[frontend]\ninterp_max_gap = 0\n")
+        covered = {}
+        for name, extra in (("default", []), ("gap0", ["--config", str(no_repair)])):
+            out = tmp_path / f"{name}.csv"
+            assert main(["detect", "--baseline", baseline, "--in", str(rec), "--out", str(out), *extra]) == 0
+            covered[name] = set(read_predictions_csv(out).sample_idx.tolist())
+        # the centres of the windows that hold the dropout: ivt's window is
+        # [c - 1, c + 1], a cascade's [c - 15, c + 14]
+        d = self.DROPOUT
+        around = set(range(d - 1, d + 2)) if baseline == "ivt" else set(range(d - 14, d + 16))
+        assert around <= covered["default"]
+        assert not around & covered["gap0"]
+        assert covered["gap0"] == covered["default"] - around
+
+    def test_compare_tunes_and_detects_with_the_frontend_gap(self, tmp_path, tiny_config, monkeypatch):
+        data = synth(tmp_path, tiny_config, n=8, seed=6)
+        model = tmp_path / "init.gznn"
+        save_model(init_params(0), model)
+        cfg = tmp_path / "gap1.cfg"
+        cfg.write_text("[frontend]\ninterp_max_gap = 1\n")
+        gaps = []
+
+        def spy_tune(*args, max_gap, **kwargs):
+            gaps.append(("tune", max_gap))
+            return tune_baselines(*args, max_gap=max_gap, **kwargs)
+
+        def spy(name):
+            def detect(seq, config, max_gap):
+                gaps.append((name, max_gap))
+                return BASELINE_DETECTORS[name](seq, config, max_gap)
+            return detect
+
+        monkeypatch.setattr(cli, "tune_baselines", spy_tune)
+        monkeypatch.setattr(cli, "BASELINE_DETECTORS", {name: spy(name) for name in BASELINE_DETECTORS})
+        assert main(["compare", "--data-dir", str(data), "--model", str(model), "--config", str(cfg),
+                     "--report-dir", str(tmp_path / "cmp"), "--seed", "6"]) == 0
+        assert ("tune", 1) in gaps and {name for name, _ in gaps} == {"tune", *BASELINE_DETECTORS}
+        assert {gap for _, gap in gaps} == {1}
+
+
+def test_ivt_velocity_overflow_exit3(tmp_path, capsys):
+    # a jump of 2 * 1.6e308 degrees between neighbours overflows to an infinite speed
+    x = np.tile([-1.6e308, 0.0, 1.6e308, 0.0], 10)
+    seq = GazeSequence(np.arange(x.size) * 5.0, x, np.zeros(x.size), np.ones(x.size, bool))
+    write_gaze_csv(seq, tmp_path / "huge.csv")
+    code = main(["detect", "--baseline", "ivt", "--in", str(tmp_path / "huge.csv"), "--out", str(tmp_path / "p.csv")])
+    assert code == 3
+    assert "scores must be finite" in capsys.readouterr().err.strip().splitlines()[-1]
 
 
 @pytest.fixture()

@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
 from gazeflow.detectors import (
+    BASELINE_DETECTORS,
     BaselineConfig,
     DetectorError,
     DetectorOutput,
@@ -16,9 +19,10 @@ from gazeflow.detectors import (
     pca_ratio_detect,
     stage2_statistics,
 )
-from gazeflow.features import featurize_sequence
+from gazeflow.features import featurize_sequence, repair_sequence, window_starts
 from gazeflow.gaze import GazeSequence, LabelClass
 from gazeflow.net import forward, init_params
+from gazeflow.simulate import StimulusConfig, generate_sequence
 
 F, S, P = LabelClass.FIXATION, LabelClass.SACCADE, LabelClass.PURSUIT
 DT_MS = 1000.0 / 300.0
@@ -542,3 +546,158 @@ class TestInvalidSampleHandling:
     def test_too_short_sequence_rejected(self):
         with pytest.raises(DetectorError):
             ivt_idt_detect(make_seq(np.zeros(29)), BaselineConfig())
+
+
+# ---------------------------------------------------------------------------
+# the four baselines as they were written before they shared one stage 1 and
+# the STAGE2 table: oracles for the scores, bit for bit
+
+ORACLE_MAX_GAP = 3
+
+
+def _old_prepare(seq, config):
+    x, y, bad = repair_sequence(seq, ORACLE_MAX_GAP)
+    v = _velocity_array(seq.t_ms, x, y, bad)
+    with np.errstate(invalid="ignore"):
+        sac = v > config.velocity_threshold_deg_s
+    full = sliding_window_view(~bad, config.window_len).all(axis=1)
+    return x, y, bad, v, sac, np.flatnonzero(full) + config.window_len // 2
+
+
+def _old_assemble(n, covered_idx, v, sac, rho_pur, tau_v):
+    vc = v[covered_idx]
+    m = vc / (tau_v + vc)
+    p_sac = np.where(sac[covered_idx], m, (2.0 / 3.0) * m)
+    rem = 1.0 - p_sac
+    rho = rho_pur[covered_idx]
+    rho = np.where(np.isfinite(rho), rho, 0.5)
+    p_pur = rem * rho
+    scores = np.stack([rem - p_pur, p_sac, p_pur], axis=1)
+    return DetectorOutput(n, covered_idx, scores, scores.argmax(axis=1))
+
+
+def old_ivt(seq, config):
+    x, y, bad = repair_sequence(seq, ORACLE_MAX_GAP)
+    v = _velocity_array(seq.t_ms, x, y, bad)
+    covered_idx = np.flatnonzero(np.isfinite(v) & ~bad)
+    vc = v[covered_idx]
+    p_sac = vc / (config.velocity_threshold_deg_s + vc)
+    scores = np.stack([1.0 - p_sac, p_sac, np.zeros_like(p_sac)], axis=1)
+    return DetectorOutput(len(seq), covered_idx, scores, scores.argmax(axis=1))
+
+
+def _old_two_stage(seq, config, kind, rho_fn):
+    x, y, bad, v, sac, covered_idx = _old_prepare(seq, config)
+    stats = stage2_statistics(x, y, ~sac & ~bad, config.window_len, (kind,))
+    return _old_assemble(len(seq), covered_idx, v, sac, rho_fn(stats[kind]), config.velocity_threshold_deg_s)
+
+
+def old_ivt_idt(seq, config):
+    return _old_two_stage(seq, config, "dispersion", lambda d: d / (d + config.dispersion_threshold_deg))
+
+
+def old_ivmp(seq, config):
+    sigma_tau = np.pi - config.angle_threshold_rad
+
+    def rho(mean_angle):
+        s = np.pi - mean_angle
+        denom = s + sigma_tau
+        with np.errstate(invalid="ignore", divide="ignore"):
+            return np.where(denom > 0, s / denom, 0.5)
+
+    return _old_two_stage(seq, config, "turn_angle", rho)
+
+
+def old_pca(seq, config):
+    return _old_two_stage(seq, config, "eigen_ratio", lambda r: r / (r + config.pca_ratio_threshold))
+
+
+OLD_BASELINES = {"ivt": old_ivt, "ivt-idt": old_ivt_idt, "ivmp": old_ivmp, "pca": old_pca}
+
+
+def gappy_recording(seed, n=600):
+    """A simulated recording with dropouts of 1-6 samples and lost ends."""
+    rng = np.random.default_rng(seed)
+    seq = generate_sequence(StimulusConfig(seed=seed, sequence_duration_s=n / 300.0), 0).sequence
+    valid = np.ones(len(seq), bool)
+    valid[: rng.integers(0, 3)] = False
+    valid[len(seq) - rng.integers(0, 3) :] = False
+    for _ in range(8):
+        s = int(rng.integers(5, len(seq) - 10))
+        valid[s : s + int(rng.integers(1, 7))] = False
+    x = np.where(valid, seq.x_deg, np.nan)
+    y = np.where(valid, seq.y_deg, np.nan)
+    return replace(seq, x_deg=x, y_deg=y, valid=valid)
+
+
+def random_config(rng):
+    return BaselineConfig(
+        velocity_threshold_deg_s=float(rng.uniform(5.0, 300.0)),
+        dispersion_threshold_deg=float(rng.uniform(0.05, 4.0)),
+        angle_threshold_rad=float(rng.uniform(0.05, 4.0)),  # above pi too: no pursuit side left
+        pca_ratio_threshold=float(rng.uniform(1.01, 60.0)),
+        window_len=int(rng.integers(3, 45)),
+    )
+
+
+def bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+class TestBaselinesMatchParentOracles:
+    @pytest.fixture(scope="class")
+    def recordings(self):
+        noisy = [generate_sequence(StimulusConfig(seed=s, sequence_duration_s=2.0), 0).sequence for s in (1, 2)]
+        return noisy + [gappy_recording(s) for s in (3, 4, 5, 6)]
+
+    @pytest.mark.parametrize("name", sorted(BASELINE_DETECTORS))
+    def test_bit_identical_at_default_and_random_thresholds(self, recordings, name):
+        rng = np.random.default_rng([11, len(name)])
+        configs = [BaselineConfig()] + [random_config(rng) for _ in range(6)]
+        for seq in recordings:
+            for cfg in configs:
+                got = BASELINE_DETECTORS[name](seq, cfg)
+                want = OLD_BASELINES[name](seq, cfg)
+                assert np.array_equal(got.sample_idx, want.sample_idx)
+                assert np.array_equal(bits(got.scores), bits(want.scores))
+                assert np.array_equal(got.labels, want.labels)
+
+    @pytest.mark.parametrize("name", sorted(BASELINE_DETECTORS))
+    @pytest.mark.parametrize("max_gap", [0, 1, 3, 6])
+    def test_coverage_is_the_frontend_window_rule(self, recordings, name, max_gap):
+        cfg = BaselineConfig(window_len=24)
+        window = 3 if name == "ivt" else cfg.window_len
+        for seq in recordings:
+            _, _, still_bad = repair_sequence(seq, max_gap)
+            out = BASELINE_DETECTORS[name](seq, cfg, max_gap)
+            assert np.array_equal(out.sample_idx, window_starts(still_bad, window) + window // 2)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_ivt_velocity_overflow_is_a_detector_error(self):
+        # a jump of 2 * 1.6e308 degrees overflows to an infinite speed
+        x = np.tile([-1.6e308, 0.0, 1.6e308, 0.0], 10)
+        seq = make_seq(x)
+        for detect in BASELINE_DETECTORS.values():
+            with pytest.raises(DetectorError, match="finite"):
+                detect(seq, BaselineConfig())
+
+    def test_ivt_needs_three_samples(self):
+        with pytest.raises(DetectorError):
+            ivt_detect(make_seq(np.zeros(2)))
+        assert ivt_detect(make_seq(np.zeros(3))).sample_idx.tolist() == [1]
+
+
+class TestDetectorOutputLabels:
+    @pytest.mark.parametrize("labels", [[256, 257, 258], [-256, 1, 2], [0, 1, 258]])
+    def test_out_of_range_label_not_wrapped(self, labels):
+        with pytest.raises(DetectorError):
+            DetectorOutput(
+                n_samples=3,
+                sample_idx=np.arange(3),
+                scores=np.eye(3),
+                labels=np.array(labels),
+            )
+
+    def test_class_codes_kept_as_int8(self):
+        out = DetectorOutput(3, np.arange(3), np.eye(3), np.array([0, 1, 2], dtype=np.int64))
+        assert out.labels.dtype == np.int8 and out.labels.tolist() == [0, 1, 2]

@@ -8,6 +8,7 @@ from gazeflow.features import (
     featurize_sequence,
     fft_magnitude,
     repair_sequence,
+    window_starts,
     yields_windows,
 )
 from gazeflow.gaze import GazeSequence
@@ -200,6 +201,21 @@ class TestYieldsWindows:
         kept = np.unique(build_window_set(seqs).groups)
         assert kept.tolist() == [0, 3]
         assert [i for i, s in enumerate(seqs) if yields_windows(s)] == kept.tolist()
+
+
+class TestWindowStarts:
+    @pytest.mark.parametrize("window_len, stride", [(1, 1), (3, 1), (30, 1), (7, 3), (30, 4)])
+    def test_matches_brute_force(self, window_len, stride):
+        rng = np.random.default_rng(window_len + stride)
+        still_bad = rng.random(200) < 0.02
+        want = [s for s in range(0, 200 - window_len + 1, stride) if not still_bad[s : s + window_len].any()]
+        assert window_starts(still_bad, window_len, stride).tolist() == want
+        assert window_starts(np.zeros(200, bool), window_len, stride).tolist() == list(
+            range(0, 200 - window_len + 1, stride)
+        )
+
+    def test_shorter_than_one_window_keeps_none(self):
+        assert window_starts(np.zeros(29, bool), 30).size == 0
 
 
 class TestRepairSequence:

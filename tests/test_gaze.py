@@ -108,6 +108,18 @@ class TestGazeSequence:
                 labels=np.array([0], dtype=np.int8),
             )
 
+    @pytest.mark.parametrize(
+        "labels", [[256, 257, 258], [-256, 0, 1], [0, 1, 300], [0.0, np.nan, 1.0]]
+    )
+    def test_labels_outside_the_class_codes_rejected(self, labels):
+        # an int8 cast before the check would wrap 256 to the class code 0
+        with pytest.raises(GazeDataError):
+            GazeSequence(np.arange(3.0), np.zeros(3), np.zeros(3), np.ones(3, bool), labels=np.array(labels))
+
+    def test_class_codes_kept_as_int8(self):
+        seq = GazeSequence(np.arange(3.0), np.zeros(3), np.zeros(3), np.ones(3, bool), labels=[2, 1, 0])
+        assert seq.labels.dtype == np.int8 and seq.labels.tolist() == [2, 1, 0]
+
 
 def _window_set(n, seed=0):
     rng = np.random.default_rng(seed)

@@ -14,6 +14,7 @@ from gazeflow.metrics import (
     one_vs_all_auc,
     prf,
     prf_from_confusion,
+    prf_from_counts,
     roc_auc,
 )
 
@@ -138,6 +139,29 @@ class TestPrf:
         a = prf(output_from_labels(pred), truth)
         b = prf(output_from_labels(pred[perm]), truth[perm])
         assert np.allclose(a.f1, b.f1) and np.allclose(a.accuracy, b.accuracy)
+
+
+    def test_counts_with_leading_axes_match_each_report(self):
+        # tuning scores a whole grid at once: every slice must be bit-equal
+        # to the report of that slice's confusion matrix
+        rng = np.random.default_rng(5)
+        truth = rng.integers(0, 3, 300)
+        pred = rng.integers(0, 3, (4, 5, 300))
+        pred[0, 0] = 0  # a class never predicted: zero precision and F1
+        pred[0, 1, truth == 2] = 2  # a perfect pursuit column
+        counts = confusion_counts(truth, pred)
+        report = prf_from_counts(counts)
+        for i in range(4):
+            for j in range(5):
+                want = prf_from_confusion(ConfusionMatrix(counts[i, j]))
+                for field in ("accuracy", "precision", "recall", "f1"):
+                    got = getattr(report, field)[i, j]
+                    assert np.array_equal(got.view(np.uint64), getattr(want, field).view(np.uint64))
+        assert np.array_equal(prf_from_counts(np.zeros((2, 3, 3), int)).f1, np.zeros((2, 3)))
+
+    def test_empty_confusion_matrix_rejected(self):
+        with pytest.raises(EvalError):
+            prf_from_confusion(ConfusionMatrix(np.zeros((3, 3), int)))
 
 
 class TestRocAuc:

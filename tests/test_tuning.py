@@ -11,7 +11,7 @@ from gazeflow.detectors import (
     ivt_idt_detect,
     pca_ratio_detect,
 )
-from gazeflow.metrics import frame_accuracy
+from gazeflow.metrics import confusion_counts, frame_accuracy
 from gazeflow.simulate import StimulusConfig, generate_corpus
 from gazeflow.tuning import TuningGrids, tune_baselines
 
@@ -117,3 +117,48 @@ class TestTuneBaselines:
     def test_empty_rejected(self):
         with pytest.raises(DetectorError):
             tune_baselines([])
+
+
+class TestTuningLabelsAreDetectorLabels:
+    def test_sampled_grid_points(self, noiseless_corpus, monkeypatch):
+        # every prediction set that tuning scores, against the detector run
+        # at that grid point on the samples tuning scores
+        from gazeflow import tuning
+
+        noisy = [t.sequence for t in generate_corpus(StimulusConfig(seed=32, sequence_duration_s=4.0), 3)]
+        sequences = noiseless_corpus[:3] + noisy
+        grids = TuningGrids(
+            velocity=np.geomspace(10.0, 300.0, 5),
+            dispersion=np.geomspace(0.2, 3.0, 4),
+            angle=np.linspace(0.1 * np.pi, 0.9 * np.pi, 4),
+            pca_ratio=np.geomspace(1.5, 50.0, 4),
+        )
+        scored = []
+
+        def spy(truth, pred):
+            scored.append(np.asarray(pred))
+            return confusion_counts(truth, pred)
+
+        monkeypatch.setattr(tuning, "confusion_counts", spy)
+        tune_baselines(sequences, grids)
+        cover = [ivt_idt_detect(s).sample_idx for s in sequences]
+
+        def labels(detect, cfg):
+            return np.concatenate([detect(s, cfg).full_labels()[c] for s, c in zip(sequences, cover)])
+
+        ivt_pred, stage2_pred = scored[0], scored[1:]
+        for i, tau_v in enumerate(grids.velocity):
+            cfg = BaselineConfig(velocity_threshold_deg_s=float(tau_v))
+            assert np.array_equal(ivt_pred[i], labels(ivt_detect, cfg))
+        searches = [
+            (ivt_idt_detect, "dispersion_threshold_deg", grids.dispersion),
+            (ivmp_detect, "angle_threshold_rad", grids.angle),
+            (pca_ratio_detect, "pca_ratio_threshold", grids.pca_ratio),
+        ]
+        rng = np.random.default_rng(3)
+        assert len(stage2_pred) == grids.velocity.size * len(searches)
+        for k, pred in enumerate(stage2_pred):
+            i, (detect, field, grid) = k // len(searches), searches[k % len(searches)]
+            for j in rng.choice(grid.size, size=2, replace=False):
+                cfg = BaselineConfig(velocity_threshold_deg_s=float(grids.velocity[i]), **{field: float(grid[j])})
+                assert np.array_equal(pred[j], labels(detect, cfg))
