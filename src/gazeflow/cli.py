@@ -8,7 +8,6 @@ GAZEFLOW_SEED environment variable, then to 0.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import asdict
@@ -45,7 +44,7 @@ from .gaze_io import (
     write_csv,
     write_gaze_csv,
     write_history_csv,
-    write_manifest,
+    write_json,
     write_predictions_csv,
     write_trace_csv,
 )
@@ -96,7 +95,7 @@ def _load_config(path: str | None, seed: int) -> RunConfig:
     return load_run_config(path, seed=seed)
 
 
-def _read_corpus(data_dir: str, require_labels: bool) -> list[GazeSequence]:
+def _read_corpus(data_dir: str) -> list[GazeSequence]:
     d = Path(data_dir)
     if not d.is_dir():
         raise CliError(EXIT_DATA, f"data directory not found: {data_dir}")
@@ -106,7 +105,7 @@ def _read_corpus(data_dir: str, require_labels: bool) -> list[GazeSequence]:
     seqs = []
     for p in files:
         seq = read_gaze_csv(p)
-        if require_labels and seq.labels is None:
+        if seq.labels is None:
             raise CliError(EXIT_DATA, f"{p}: sequence has no labels")
         seqs.append(seq)
     return seqs
@@ -144,7 +143,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     traces = generate_corpus(cfg.stimulus, args.sequences)
     for i, tr in enumerate(traces):
         write_gaze_csv(tr.sequence, out_dir / f"seq-{i:04d}.csv")
-    write_manifest(corpus_stats(traces), seed, out_dir / "manifest.json")
+    write_json(out_dir / "manifest.json", {"seed": seed, **corpus_stats(traces)})
     print(f"wrote {len(traces)} sequences and manifest.json to {out_dir}")
     return EXIT_OK
 
@@ -152,7 +151,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 def cmd_train(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args.seed)
     cfg = _load_config(args.config, seed)
-    seqs = _read_corpus(args.data_dir, require_labels=True)
+    seqs = _read_corpus(args.data_dir)
     windows = build_window_set(seqs, cfg.frontend)
     split = split_dataset(
         windows,
@@ -253,7 +252,7 @@ def _eval_reports(
         "covered_samples": int(preds.sample_idx.shape[0]),
         "total_samples": int(preds.n_samples),
     }
-    (report_dir / "summary.json").write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
+    write_json(report_dir / "summary.json", summary)
     return summary
 
 
@@ -280,7 +279,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args.seed)
     cfg = _load_config(args.config, seed)
     model = _load_model(args.model, cfg.frontend)
-    seqs = _read_corpus(args.data_dir, require_labels=True)
+    seqs = _read_corpus(args.data_dir)
     # split the recordings a by-sequence `train` splits: those that yield a window
     units = np.flatnonzero([yields_windows(s, cfg.frontend) for s in seqs])
     if units.size < 3:
@@ -328,11 +327,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         cols,
         [[r["detector"] for r in rows]] + [float_fields([r[c] for r in rows]) for c in cols[1:]],
     )
-    tuned_path = report_dir / "tuned_thresholds.json"
-    tuned_path.write_text(
-        json.dumps({name: asdict(c) for name, c in tuned.items()}, indent=2) + "\n",
-        encoding="utf-8",
-    )
+    write_json(report_dir / "tuned_thresholds.json", {name: asdict(c) for name, c in tuned.items()})
 
     for r in rows:
         print(

@@ -62,6 +62,8 @@ class BaselineConfig:
         )
         if any(t <= 0 for t in thresholds):
             raise DetectorError("all thresholds must be positive")
+        if self.angle_threshold_rad > np.pi:
+            raise DetectorError("angle_threshold_rad must be at most pi, the largest mean turning angle")
         if self.window_len < 2:
             raise DetectorError("window_len must be >= 2")
 
@@ -309,8 +311,16 @@ def _prepare(
     if n < window_len:
         raise DetectorError(f"sequence of {n} samples is shorter than the analysis window ({window_len})")
     x, y, bad = repair_sequence(seq, max_gap)
-    v = _velocity_array(seq.t_ms, x, y, bad)
-    return x, y, bad, v, window_starts(bad, window_len) + window_len // 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = _velocity_array(seq.t_ms, x, y, bad)
+    covered = window_starts(bad, window_len) + window_len // 2
+    overflow = covered[np.isinf(v[covered])]
+    if overflow.size:
+        raise DetectorError(
+            f"scores must be finite: the speed at sample {overflow[0]} overflows "
+            "(coordinates or timestamps out of range)"
+        )
+    return x, y, bad, v, covered
 
 
 def _output(n_samples: int, covered: np.ndarray, p_sac: np.ndarray, rho) -> DetectorOutput:

@@ -188,9 +188,8 @@ def write_trace_csv(seq: GazeSequence, preds: DetectorOutput, path: str | Path) 
     write_csv(path, TRACE_HEADER, [*coords, *scores, _label_column(seq), pred])
 
 
-def write_manifest(stats: dict, seed: int, path: str | Path) -> None:
-    payload = {"seed": seed, **stats}
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+def write_json(path: str | Path, obj) -> None:
+    Path(path).write_text(json.dumps(obj, indent=2) + "\n", encoding="utf-8")
 
 
 def read_manifest(path: str | Path) -> dict:

@@ -4,8 +4,15 @@ Sequences are assembled from script events (fixations, saccadic jumps,
 pursuit segments) on a fixed sample grid. Fixations hold a point with white
 Gaussian tremor; saccades follow a minimum-jerk position profile whose
 duration grows linearly with amplitude; pursuits travel at constant or
-linearly ramped speed and reflect off the screen edges. Measurement noise
-is added to every sample.
+linearly ramped speed and reflect off the screen edges (a bouncing pursuit
+is the ramp from its speed to the same speed). Measurement noise is added
+to every sample.
+
+A random script draws each event's class from the previous one through the
+3x3 _TRANSITIONS table: event-count weights of the three classes, damped for
+direct fixation/pursuit onsets and offsets and for pursuit after pursuit,
+with no fixation after a fixation (the two would merge) and no saccade
+after a saccade.
 
 Sampling convention: an event anchored at position P contributes the grid
 samples strictly after its start instant. Saccade trajectories are sampled
@@ -20,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaze import GazeSequence, LabelClass, events_from_labels
+from .gaze import CLASS_NAMES, N_CLASSES, GazeSequence, LabelClass, events_from_labels
 
 # duration of a saccade grows ~linearly with its amplitude
 SACCADE_MS_PER_DEG = 1.6
@@ -175,10 +182,7 @@ def star_positions(config: StimulusConfig = StimulusConfig()) -> np.ndarray:
     radius = config.screen_half_extent_deg
     angles = np.arange(8) * (np.pi / 4)
     radii = radius * (np.arange(1, per_ray + 1) / per_ray)
-    pts = np.array(
-        [[r * np.cos(a), r * np.sin(a)] for a in angles for r in radii]
-    )
-    return pts
+    return np.array([[r * np.cos(a), r * np.sin(a)] for a in angles for r in radii])
 
 
 def _check_on_screen(point: np.ndarray, config: StimulusConfig) -> None:
@@ -187,17 +191,19 @@ def _check_on_screen(point: np.ndarray, config: StimulusConfig) -> None:
         raise SimulationError(f"target {point.tolist()} outside screen extent +-{e:g}")
 
 
-def _fold(u: np.ndarray, extent: float) -> np.ndarray:
-    """Reflect unbounded coordinates back into [-extent, extent]."""
-    period = 4.0 * extent
-    m = np.mod(u + extent, period)
-    return np.where(m <= 2.0 * extent, m - extent, 3.0 * extent - m)
+def _fold(u: np.ndarray, extent: float) -> tuple[np.ndarray, np.ndarray]:
+    """Unbounded coordinates reflected back into [-extent, extent], and the
+    sign of d(fold)/du at each of them."""
+    m = np.mod(u + extent, 4.0 * extent)
+    rising = m <= 2.0 * extent
+    return np.where(rising, m - extent, 3.0 * extent - m), np.where(rising, 1.0, -1.0)
 
 
-def _fold_dir_sign(u_end: np.ndarray, extent: float) -> np.ndarray:
-    """Sign of d(fold)/du at the end of a folded trajectory, per axis."""
-    m = np.mod(u_end + extent, 4.0 * extent)
-    return np.where(m <= 2.0 * extent, 1.0, -1.0)
+def _check_speeds(config: StimulusConfig, *speeds: float) -> None:
+    lo, hi = config.pursuit_speed_deg_s
+    for speed in speeds:
+        if not lo <= speed <= hi:
+            raise SimulationError(f"pursuit speed {speed} outside configured range")
 
 
 def _min_jerk(tau: np.ndarray) -> np.ndarray:
@@ -223,8 +229,6 @@ def synthesize_event(
     if not np.isfinite(start).all():
         raise SimulationError("start point must be finite")
     dt_ms = config.dt_ms
-    extent = config.screen_half_extent_deg
-    lo_speed, hi_speed = config.pursuit_speed_deg_s
 
     if isinstance(event, FixateAt):
         point = np.asarray(event.point, dtype=np.float64)
@@ -259,15 +263,14 @@ def synthesize_event(
     elif isinstance(event, PursueTo):
         target = np.asarray(event.point, dtype=np.float64)
         _check_on_screen(target, config)
-        if not lo_speed <= event.speed <= hi_speed:
-            raise SimulationError(f"pursuit speed {event.speed} outside configured range")
+        _check_speeds(config, event.speed)
         travel = float(np.hypot(*(target - start)))
         if travel <= 0:
             raise SimulationError("pursuit target coincides with the start point")
         direction = (target - start) / travel
         n = max(1, round(travel / event.speed * config.rate_hz))
         # snap the effective speed to the grid without exceeding the range
-        n = max(n, int(np.ceil(travel * config.rate_hz / hi_speed)))
+        n = max(n, int(np.ceil(travel * config.rate_hz / config.pursuit_speed_deg_s[1])))
         steps = np.arange(1, n + 1) * (travel / n)
         clean = start + direction * steps[:, None]
         clean_end = clean[-1].copy()
@@ -281,28 +284,17 @@ def synthesize_event(
         direction = direction / norm
         _check_on_screen(start, config)
         if isinstance(event, PursueBouncing):
-            if not lo_speed <= event.speed <= hi_speed:
-                raise SimulationError(f"pursuit speed {event.speed} outside configured range")
-            n = max(1, round(event.dur_ms / dt_ms))
-            t_s = np.arange(1, n + 1) * (dt_ms / 1000.0)
-            arc = event.speed * t_s
+            v0 = v1 = event.speed  # zero acceleration: the ramp adds an exact +0.0
         else:
-            for sp in (event.speed_from, event.speed_to):
-                if not lo_speed <= sp <= hi_speed:
-                    raise SimulationError(f"pursuit speed {sp} outside configured range")
-            n = max(1, round(event.dur_ms / dt_ms))
-            t_s = np.arange(1, n + 1) * (dt_ms / 1000.0)
-            dur_s = n * dt_ms / 1000.0
-            accel = (event.speed_to - event.speed_from) / dur_s
-            arc = event.speed_from * t_s + 0.5 * accel * t_s**2
-        unfolded = start + direction * arc[:, None]
-        clean = np.stack(
-            [_fold(unfolded[:, 0], extent), _fold(unfolded[:, 1], extent)], axis=1
-        )
+            v0, v1 = event.speed_from, event.speed_to
+        _check_speeds(config, v0, v1)
+        n = max(1, round(event.dur_ms / dt_ms))
+        t_s = np.arange(1, n + 1) * (dt_ms / 1000.0)
+        accel = (v1 - v0) / (n * dt_ms / 1000.0)
+        arc = v0 * t_s + 0.5 * accel * t_s**2
+        clean, slope = _fold(start + direction * arc[:, None], config.screen_half_extent_deg)
         clean_end = clean[-1].copy()
-        end_dir = direction * np.array(
-            [_fold_dir_sign(unfolded[-1, 0], extent), _fold_dir_sign(unfolded[-1, 1], extent)]
-        )
+        end_dir = direction * slope[-1]
         nd = float(np.hypot(*end_dir))
         end_dir = end_dir / nd if nd > 0 else None
 
@@ -322,9 +314,7 @@ def _measurement_noise(n: int, config: StimulusConfig, rng: np.random.Generator)
     if config.artifact_rate > 0:
         hits = rng.uniform(size=n) < config.artifact_rate
         if hits.any():
-            noise[hits] = rng.normal(
-                0.0, core * config.artifact_scale, size=(int(hits.sum()), 2)
-            )
+            noise[hits] = rng.normal(0.0, core * config.artifact_scale, size=(int(hits.sum()), 2))
     return noise
 
 
@@ -338,14 +328,8 @@ def _unit(angle: float) -> np.ndarray:
 
 def _room_along(pos: np.ndarray, direction: np.ndarray, extent: float) -> float:
     """Distance from pos to the screen boundary along direction."""
-    room = np.inf
-    for axis in range(2):
-        d = direction[axis]
-        if d > 1e-12:
-            room = min(room, (extent - pos[axis]) / d)
-        elif d < -1e-12:
-            room = min(room, (-extent - pos[axis]) / d)
-    return float(room)
+    rooms = [(np.sign(d) * extent - p) / d for p, d in zip(pos, direction) if abs(d) > 1e-12]
+    return float(min(rooms, default=np.inf))
 
 
 def _rotate(vec: np.ndarray, angle: float) -> np.ndarray:
@@ -367,6 +351,17 @@ class _ScriptBuilder:
 
     def draw_speed(self) -> float:
         return float(self.rng.uniform(self.speed_lo, self.speed_hi))
+
+    def step(
+        self, cls: LabelClass, pos: np.ndarray, prev: LabelClass, prev_dir: np.ndarray | None
+    ) -> ScriptEvent:
+        """A random event of class cls after an event of class prev that
+        ended moving along prev_dir (None when it ended at rest)."""
+        if cls == LabelClass.FIXATION:
+            return self.fixation(pos)
+        if cls == LabelClass.SACCADE:
+            return self.saccade(pos, prev_dir if prev == LabelClass.PURSUIT else None)
+        return self.pursuit(pos, prev_dir if prev == LabelClass.SACCADE else None)
 
     def fixation(self, pos: np.ndarray, dur_ms: float | None = None) -> FixateAt:
         if dur_ms is None:
@@ -411,10 +406,7 @@ class _ScriptBuilder:
         v2 = self.draw_speed()
         dur = float(self.rng.uniform(500.0, 2000.0))
         return PursueAccel(
-            direction=(float(direction[0]), float(direction[1])),
-            speed_from=speed,
-            speed_to=v2,
-            dur_ms=dur,
+            direction=(float(direction[0]), float(direction[1])), speed_from=speed, speed_to=v2, dur_ms=dur
         )
 
     def _pursuit_direction(self, pos: np.ndarray, prev_dir: np.ndarray | None) -> np.ndarray:
@@ -432,34 +424,26 @@ class _ScriptBuilder:
         return to_center / norm if norm > 1e-9 else _unit(0.0)
 
 
-_TRANSITION_DAMP = {
-    (LabelClass.FIXATION, LabelClass.PURSUIT): 0.08,  # direct onsets stay rare
-    (LabelClass.PURSUIT, LabelClass.FIXATION): 0.08,  # direct offsets stay rare
-    (LabelClass.PURSUIT, LabelClass.PURSUIT): 0.5,
-}
+# probability of each class (column) for the random step after an event of
+# each class (row): event counts per class, damped
+_TRANSITIONS = np.array([1626.0, 2647.0, 1089.0]) * np.array([
+    [0.0, 1.0, 0.08],  # fixations would merge; direct pursuit onsets stay rare
+    [1.0, 0.0, 1.0],  # no back-to-back saccades
+    [0.08, 1.0, 0.5],  # direct pursuit offsets stay rare; pursuit after pursuit halved
+])
+_TRANSITIONS /= _TRANSITIONS.sum(axis=1, keepdims=True)
 
-
-def _next_class(
-    prev: LabelClass, mix: np.ndarray, rng: np.random.Generator
-) -> LabelClass:
-    weights = np.zeros(3)
-    allowed = np.zeros(3, dtype=bool)
-    for cls in LabelClass:
-        if cls == prev and cls in (LabelClass.FIXATION, LabelClass.SACCADE):
-            continue  # repeated fixations merge; back-to-back saccades excluded
-        allowed[cls] = True
-        weights[cls] = mix[cls] * _TRANSITION_DAMP.get((prev, cls), 1.0)
-    if weights.sum() <= 0:
-        weights = allowed.astype(np.float64)  # degenerate mix: connect uniformly
-    weights = weights / weights.sum()
-    return LabelClass(int(rng.choice(3, p=weights)))
+# the preamble's steps: a class stands for that class's random event (see
+# _ScriptBuilder.step); "P_to" is a pursuit that ends at a target and
+# "P_bounce" a bouncing pursuit that carries on in the saccade's direction
+_PREAMBLE = (
+    LabelClass.SACCADE, LabelClass.FIXATION, LabelClass.PURSUIT, LabelClass.FIXATION,
+    LabelClass.SACCADE, "P_to", LabelClass.SACCADE, "P_bounce", LabelClass.FIXATION,
+)
 
 
 def generate_sequence(
-    config: StimulusConfig,
-    seq_index: int,
-    mix: tuple[float, float, float] = (1626.0, 2647.0, 1089.0),
-    with_preamble: bool = False,
+    config: StimulusConfig, seq_index: int, with_preamble: bool = False
 ) -> SyntheticTrace:
     """Build one labeled sequence; deterministic per (config.seed, seq_index).
 
@@ -469,67 +453,32 @@ def generate_sequence(
     """
     rng = np.random.default_rng([config.seed, seq_index])
     builder = _ScriptBuilder(config, rng)
-    mix_arr = np.asarray(mix, dtype=np.float64)
-    if (mix_arr < 0).any() or mix_arr.sum() <= 0:
-        raise SimulationError("mix weights must be non-negative with positive sum")
-
     n_target = max(60, round(config.sequence_duration_s * config.rate_hz))
-    star = builder.star
-    pos = star[rng.integers(len(star))].copy()
+    pos = builder.star[rng.integers(len(builder.star))].copy()
 
     script: list[ScriptEvent] = [builder.fixation(pos, 300.0)]
-    if with_preamble:
-        script_plan = ["S", "F", "P_on", "F", "S", "P_to", "S", "P_bounce", "F"]
-    else:
-        script_plan = []
-
-    runs: list[EventRun] = []
-    prev_label = LabelClass.FIXATION
-    prev_dir: np.ndarray | None = None
-
-    first = synthesize_event(script[0], pos, config, rng)
-    runs.append(first)
-    total = first.positions.shape[0] + 1  # +1 for the anchor sample
-    pos = first.clean_end
+    runs = [synthesize_event(script[0], pos, config, rng)]
+    total = runs[0].positions.shape[0] + 1  # +1 for the anchor sample
+    pos = runs[0].clean_end
+    prev_label, prev_dir = LabelClass.FIXATION, None
+    plan = iter(_PREAMBLE if with_preamble else ())
 
     while total < n_target:
-        if script_plan:
-            tag = script_plan.pop(0)
-            if tag == "F":
-                event: ScriptEvent = builder.fixation(pos)
-            elif tag == "S":
-                event = builder.saccade(pos, prev_dir if prev_label == LabelClass.PURSUIT else None)
-            elif tag == "P_on":
-                event = builder.pursuit(pos, None)
-            elif tag == "P_to":
-                event = builder.pursuit(pos, prev_dir)
-                if not isinstance(event, PursueTo):
-                    direction = builder._pursuit_direction(pos, prev_dir)
-                    room = _room_along(pos, direction, config.screen_half_extent_deg * 0.98)
-                    target = pos + direction * min(6.0, room)
-                    event = PursueTo(
-                        point=(float(target[0]), float(target[1])), speed=builder.draw_speed()
-                    )
-            else:  # P_bounce
-                event = PursueBouncing(
-                    direction=(float(prev_dir[0]), float(prev_dir[1]))
-                    if prev_dir is not None
-                    else (1.0, 0.0),
-                    speed=builder.draw_speed(),
-                    dur_ms=800.0,
-                )
+        step = next(plan, None)
+        if step is None:
+            step = LabelClass(int(rng.choice(N_CLASSES, p=_TRANSITIONS[prev_label])))
+        if step == "P_bounce":
+            d = (1.0, 0.0) if prev_dir is None else prev_dir
+            event: ScriptEvent = PursueBouncing(
+                direction=(float(d[0]), float(d[1])), speed=builder.draw_speed(), dur_ms=800.0
+            )
         else:
-            nxt = _next_class(prev_label, mix_arr, rng)
-            if nxt == LabelClass.FIXATION:
-                event = builder.fixation(pos)
-            elif nxt == LabelClass.SACCADE:
-                event = builder.saccade(
-                    pos, prev_dir if prev_label == LabelClass.PURSUIT else None
-                )
-            else:
-                event = builder.pursuit(
-                    pos, prev_dir if prev_label == LabelClass.SACCADE else None
-                )
+            event = builder.step(LabelClass.PURSUIT if step == "P_to" else step, pos, prev_label, prev_dir)
+        if step == "P_to" and not isinstance(event, PursueTo):
+            direction = builder._pursuit_direction(pos, prev_dir)
+            room = _room_along(pos, direction, config.screen_half_extent_deg * 0.98)
+            target = pos + direction * min(6.0, room)
+            event = PursueTo(point=(float(target[0]), float(target[1])), speed=builder.draw_speed())
 
         run = synthesize_event(event, pos, config, rng)
         script.append(event)
@@ -539,19 +488,14 @@ def generate_sequence(
         prev_label = run.label
         prev_dir = run.end_dir
 
-    anchor_noise = (
-        _measurement_noise(1, config, rng)[0] if config.noise_sigma_deg else np.zeros(2)
-    )
-    first_point = np.asarray(script[0].point, dtype=np.float64)
-    anchor = first_point + (
-        rng.normal(0.0, config.tremor_sigma_deg, size=2) if config.tremor_sigma_deg else 0.0
-    ) + anchor_noise
+    noise = _measurement_noise(1, config, rng)[0] if config.noise_sigma_deg else np.zeros(2)
+    tremor = rng.normal(0.0, config.tremor_sigma_deg, size=2) if config.tremor_sigma_deg else 0.0
+    anchor = np.asarray(script[0].point) + tremor + noise
 
     coords = np.concatenate([anchor[None]] + [r.positions for r in runs])[:n_target]
-    lab = np.concatenate(
-        [np.array([int(runs[0].label)], dtype=np.int8)]
-        + [np.full(r.positions.shape[0], int(r.label), dtype=np.int8) for r in runs]
-    )[:n_target]
+    run_lengths = [r.positions.shape[0] for r in runs]
+    run_lengths[0] += 1  # the anchor sample carries the first event's label
+    lab = np.repeat(np.array([r.label for r in runs], dtype=np.int8), run_lengths)[:n_target]
     t_ms = np.arange(n_target) * config.dt_ms
     seq = GazeSequence(
         t_ms=t_ms,
@@ -564,11 +508,7 @@ def generate_sequence(
     return SyntheticTrace(sequence=seq, script=tuple(script))
 
 
-def generate_corpus(
-    config: StimulusConfig,
-    n_sequences: int,
-    mix: tuple[float, float, float] = (1626.0, 2647.0, 1089.0),
-) -> list[SyntheticTrace]:
+def generate_corpus(config: StimulusConfig, n_sequences: int) -> list[SyntheticTrace]:
     """Generate a corpus of labeled sequences, deterministic per seed.
 
     The first sequence carries the transition preamble so every corpus
@@ -576,45 +516,30 @@ def generate_corpus(
     """
     if n_sequences < 1:
         raise SimulationError("n_sequences must be >= 1")
-    return [
-        generate_sequence(config, i, mix, with_preamble=(i == 0))
-        for i in range(n_sequences)
-    ]
+    return [generate_sequence(config, i, with_preamble=(i == 0)) for i in range(n_sequences)]
+
+
+def _by_class(counts: np.ndarray) -> dict[str, int]:
+    return dict(zip(CLASS_NAMES, counts.tolist()))
 
 
 def corpus_stats(traces: list[SyntheticTrace]) -> dict:
     """Per-class frame and event counts, per sequence and total."""
-    per_seq = []
-    frame_totals = np.zeros(3, dtype=np.int64)
-    event_totals = np.zeros(3, dtype=np.int64)
-    for tr in traces:
-        labels = tr.sequence.labels
-        frames = np.bincount(labels, minlength=3)
-        events = np.zeros(3, dtype=np.int64)
-        for ev in events_from_labels(labels):
-            events[ev.label] += 1
-        frame_totals += frames
-        event_totals += events
-        per_seq.append(
+    frames = [np.bincount(tr.sequence.labels, minlength=N_CLASSES) for tr in traces]
+    events = [
+        np.bincount([ev.label for ev in events_from_labels(tr.sequence.labels)], minlength=N_CLASSES)
+        for tr in traces
+    ]
+    zero = np.zeros(N_CLASSES, dtype=np.int64)
+    return {
+        "sequences": [
             {
                 "source_id": tr.sequence.source_id,
-                "n_samples": int(len(tr.sequence)),
-                "frames": {"fixation": int(frames[0]), "saccade": int(frames[1]), "pursuit": int(frames[2])},
-                "events": {"fixation": int(events[0]), "saccade": int(events[1]), "pursuit": int(events[2])},
+                "n_samples": len(tr.sequence),
+                "frames": _by_class(f),
+                "events": _by_class(e),
             }
-        )
-    return {
-        "sequences": per_seq,
-        "totals": {
-            "frames": {
-                "fixation": int(frame_totals[0]),
-                "saccade": int(frame_totals[1]),
-                "pursuit": int(frame_totals[2]),
-            },
-            "events": {
-                "fixation": int(event_totals[0]),
-                "saccade": int(event_totals[1]),
-                "pursuit": int(event_totals[2]),
-            },
-        },
+            for tr, f, e in zip(traces, frames, events)
+        ],
+        "totals": {"frames": _by_class(sum(frames, zero)), "events": _by_class(sum(events, zero))},
     }

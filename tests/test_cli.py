@@ -385,6 +385,17 @@ class TestDataErrors:
         assert main([*argv, "--config", str(cfg)]) == 2
         assert f"[{section}] {key}" in one_error_line(capsys)
 
+    def test_angle_threshold_above_pi_exit2(self, tmp_path, tiny_config, capsys):
+        data = synth(tmp_path, tiny_config, n=1, seed=5)
+        cfg = tmp_path / "angle.cfg"
+        cfg.write_text("[baselines]\nangle_threshold_rad = 3.2\n")
+        capsys.readouterr()
+        code = main(["detect", "--baseline", "ivmp", "--in", str(data / "seq-0000.csv"),
+                     "--out", str(tmp_path / "p.csv"), "--config", str(cfg)])
+        assert code == 2
+        assert "angle_threshold_rad must be at most pi" in one_error_line(capsys)
+        assert not (tmp_path / "p.csv").exists()
+
     def test_unknown_config_key_exit2(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("[training]\nwarp_speed = 9\n")
@@ -541,6 +552,21 @@ def test_ivt_velocity_overflow_exit3(tmp_path, capsys):
     code = main(["detect", "--baseline", "ivt", "--in", str(tmp_path / "huge.csv"), "--out", str(tmp_path / "p.csv")])
     assert code == 3
     assert "scores must be finite" in capsys.readouterr().err.strip().splitlines()[-1]
+
+
+@pytest.mark.parametrize("baseline", sorted(BASELINE_DETECTORS))
+def test_speed_overflow_is_one_error_line(tmp_path, capsys, baseline):
+    # neighbours two samples apart sit 3.2e308 degrees apart: every speed overflows
+    x = np.tile([1.6e308, 1.6e308, -1.6e308, -1.6e308], 10)
+    seq = GazeSequence(np.arange(x.size) * 5.0, x, np.zeros(x.size), np.ones(x.size, bool))
+    write_gaze_csv(seq, tmp_path / "huge.csv")
+    capsys.readouterr()
+    code = main(["detect", "--baseline", baseline, "--in", str(tmp_path / "huge.csv"), "--out", str(tmp_path / "p.csv")])
+    assert code == 3
+    err = one_error_line(capsys)
+    assert err.startswith("data error: scores must be finite: the speed at sample ")
+    assert err.endswith(" overflows (coordinates or timestamps out of range)")
+    assert not (tmp_path / "p.csv").exists()
 
 
 @pytest.fixture()

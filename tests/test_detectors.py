@@ -185,6 +185,13 @@ class TestIvtIdt:
 
 
 class TestIvmp:
+    def test_angle_threshold_at_most_pi(self):
+        # the mean turning angle is at most pi: a larger threshold leaves no fixation side
+        assert BaselineConfig(angle_threshold_rad=np.pi).angle_threshold_rad == np.pi
+        for angle in (np.nextafter(np.pi, 4.0), 3.2):
+            with pytest.raises(DetectorError, match="angle_threshold_rad must be at most pi"):
+                BaselineConfig(angle_threshold_rad=angle)
+
     def test_straight_drift_is_pursuit(self):
         x = (10.0 / 300.0) * np.arange(90)
         out = ivmp_detect(make_seq(x), BaselineConfig(angle_threshold_rad=1.5))
@@ -634,7 +641,7 @@ def random_config(rng):
     return BaselineConfig(
         velocity_threshold_deg_s=float(rng.uniform(5.0, 300.0)),
         dispersion_threshold_deg=float(rng.uniform(0.05, 4.0)),
-        angle_threshold_rad=float(rng.uniform(0.05, 4.0)),  # above pi too: no pursuit side left
+        angle_threshold_rad=min(float(rng.uniform(0.05, 4.0)), np.pi),  # pi, the largest, a fifth of the time
         pca_ratio_threshold=float(rng.uniform(1.01, 60.0)),
         window_len=int(rng.integers(3, 45)),
     )
@@ -672,13 +679,12 @@ class TestBaselinesMatchParentOracles:
             out = BASELINE_DETECTORS[name](seq, cfg, max_gap)
             assert np.array_equal(out.sample_idx, window_starts(still_bad, window) + window // 2)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_ivt_velocity_overflow_is_a_detector_error(self):
         # a jump of 2 * 1.6e308 degrees overflows to an infinite speed
         x = np.tile([-1.6e308, 0.0, 1.6e308, 0.0], 10)
         seq = make_seq(x)
         for detect in BASELINE_DETECTORS.values():
-            with pytest.raises(DetectorError, match="finite"):
+            with pytest.raises(DetectorError, match=r"scores must be finite: the speed at sample \d+ overflows"):
                 detect(seq, BaselineConfig())
 
     def test_ivt_needs_three_samples(self):

@@ -1,10 +1,15 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
 from gazeflow.detectors import _velocity_array
 from gazeflow.gaze import LabelClass, events_from_labels
 from gazeflow.simulate import (
+    _TRANSITIONS,
     FixateAt,
+    PursueAccel,
     PursueBouncing,
     PursueTo,
     SaccadeTo,
@@ -143,6 +148,48 @@ class TestSynthesizeEvent:
         with pytest.raises(SimulationError):
             synthesize_event(PursueTo(point=(3.0, 0.0), speed=50.0), np.zeros(2), cfg, rng)
 
+    def test_accelerating_pursuit_ramps_between_speeds(self):
+        cfg = noiseless(seed=8)
+        start = np.array([-10.0, -3.0])
+        event = PursueAccel(direction=(1.0, 0.1), speed_from=8.0, speed_to=32.0, dur_ms=1500.0)
+        run = synthesize_event(event, start, cfg, np.random.default_rng(8))
+        assert run.positions.shape[0] == 450
+        assert np.abs(run.positions).max() <= cfg.screen_half_extent_deg + 1e-9
+        pos = np.vstack([start, run.positions])
+        speeds = np.hypot(*np.diff(pos, axis=0).T) * cfg.rate_hz
+        t_s = (np.arange(450) + 0.5) / cfg.rate_hz  # each speed is the mean over its interval
+        ramp = 8.0 + (32.0 - 8.0) * t_s / 1.5
+        # the x fold at the right edge shortens the intervals that straddle it
+        flip = np.flatnonzero(np.diff(np.sign(np.diff(pos[:, 0]))))
+        assert flip.size == 1
+        away = np.ones(450, bool)
+        away[flip[0] : flip[0] + 2] = False
+        assert np.max(np.abs(speeds - ramp)[away]) < 1e-9
+        assert speeds[0] == pytest.approx(8.0, abs=0.05) and speeds[-1] == pytest.approx(32.0, abs=0.05)
+
+    def test_accelerating_pursuit_speeds_outside_range_rejected(self):
+        cfg = StimulusConfig()
+        for lo_hi in ((10.0, 36.0), (4.0, 20.0)):
+            event = PursueAccel(direction=(1.0, 0.0), speed_from=lo_hi[0], speed_to=lo_hi[1])
+            with pytest.raises(SimulationError, match="outside configured range"):
+                synthesize_event(event, np.zeros(2), cfg, np.random.default_rng(9))
+
+    @pytest.mark.parametrize("noise", [0.0, 0.2])
+    def test_bouncing_pursuit_is_a_constant_speed_ramp(self, noise):
+        cfg = StimulusConfig(seed=9, noise_sigma_deg=noise)
+        start = np.array([4.0, -9.0])
+        runs = [
+            synthesize_event(event, start, cfg, np.random.default_rng(10))
+            for event in (
+                PursueBouncing(direction=(0.3, -1.0), speed=27.0, dur_ms=2200.0),
+                PursueAccel(direction=(0.3, -1.0), speed_from=27.0, speed_to=27.0, dur_ms=2200.0),
+            )
+        ]
+        a, b = runs
+        assert a.positions.tobytes() == b.positions.tobytes()
+        assert a.clean_end.tobytes() == b.clean_end.tobytes()
+        assert a.end_dir.tobytes() == b.end_dir.tobytes()
+
 
 class TestGenerateCorpus:
     def test_deterministic_per_seed(self):
@@ -185,6 +232,46 @@ class TestGenerateCorpus:
     def test_requires_positive_count(self):
         with pytest.raises(SimulationError):
             generate_corpus(StimulusConfig(), 0)
+
+
+# sha256 (first 16 hex digits) over every trace's t_ms, x_deg, y_deg, valid and
+# labels bytes and repr(script), then json.dumps(corpus_stats): the simulator's
+# output before its movements were each written once
+GOLDEN_CORPORA = [
+    (StimulusConfig(seed=7), 48, "cd190d072bf04511"),
+    (StimulusConfig(seed=1234), 48, "cc8832e0bf92a06d"),
+    (noiseless(seed=1234), 24, "35110786b8d216f0"),
+    (StimulusConfig(seed=3, sequence_duration_s=3.0), 50, "2c72c77fd132df51"),
+    (StimulusConfig(seed=51, sequence_duration_s=42.0), 8, "5469f870acd0fd53"),
+]
+
+
+@pytest.mark.parametrize("config, n, digest", GOLDEN_CORPORA)
+def test_corpus_bits_unchanged(config, n, digest):
+    traces = generate_corpus(config, n)
+    h = hashlib.sha256()
+    for tr in traces:
+        s = tr.sequence
+        for a in (s.t_ms, s.x_deg, s.y_deg, s.valid, s.labels):
+            h.update(a.tobytes())
+        h.update(repr(tr.script).encode())
+    h.update(json.dumps(corpus_stats(traces)).encode())
+    assert h.hexdigest()[:16] == digest
+
+
+class TestTransitions:
+    def test_rows_are_distributions(self):
+        assert _TRANSITIONS.shape == (3, 3)
+        assert np.all(_TRANSITIONS >= 0)
+        assert np.allclose(_TRANSITIONS.sum(axis=1), 1.0, rtol=0, atol=1e-15)
+
+    def test_no_fixation_after_fixation_nor_saccade_after_saccade(self):
+        assert _TRANSITIONS[F, F] == 0.0 and _TRANSITIONS[S, S] == 0.0
+        assert np.count_nonzero(_TRANSITIONS) == 7
+
+    def test_direct_fixation_pursuit_changes_stay_rare(self):
+        assert _TRANSITIONS[F, P] < 0.05 * _TRANSITIONS[F, S]
+        assert _TRANSITIONS[P, F] < 0.05 * _TRANSITIONS[P, S]
 
 
 class TestNoiselessSeparability:
