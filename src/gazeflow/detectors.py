@@ -64,8 +64,10 @@ class BaselineConfig:
             raise DetectorError("all thresholds must be positive")
         if self.angle_threshold_rad > np.pi:
             raise DetectorError("angle_threshold_rad must be at most pi, the largest mean turning angle")
-        if self.window_len < 2:
-            raise DetectorError("window_len must be >= 2")
+        if self.window_len < 3:
+            raise DetectorError(
+                "window_len must be >= 3: the velocity needs a neighbour on each side of every covered centre"
+            )
 
 
 @dataclass(frozen=True)
@@ -203,8 +205,7 @@ def _turn_angle(xs: np.ndarray, ys: np.ndarray, a: np.ndarray, b: np.ndarray) ->
     hi = np.maximum(b - 2, a - 1)  # last pair index in window, or a-1 when none
     total = csum_ang[hi + 1] - csum_ang[a]
     count = csum_cnt[hi + 1] - csum_cnt[a]
-    with np.errstate(invalid="ignore"):
-        return np.where(count > 0, total / np.maximum(count, 1), np.pi)
+    return np.where(count > 0, total / np.maximum(count, 1), np.pi)
 
 
 def _eig2x2(vxx: np.ndarray, vxy: np.ndarray, vyy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -256,7 +257,8 @@ def stage2_statistics(
     """Compute the requested sliding statistics over every True run of span_mask.
 
     Windows are centered (window_len // 2 samples to the left) and clipped to
-    the run. Samples outside any span hold NaN.
+    the run. Samples outside any span hold NaN. A span sample whose statistic
+    is not finite (its moments overflow) raises DetectorError.
     """
     off_l = window_len // 2
     off_r = window_len - off_l - 1
@@ -278,14 +280,21 @@ def stage2_statistics(
     xs = x[idx]
     ys = y[idx]
     for kind in kinds:
-        if kind == "dispersion":
-            out[kind][idx] = _dispersion(xs, ys, run_id, off_l, off_r)
-        elif kind == "turn_angle":
-            out[kind][idx] = _turn_angle(xs, ys, a, b)
-        elif kind == "eigen_ratio":
-            out[kind][idx] = _eigen_ratio(xs, ys, run_id, run_starts, a, b)
-        else:
-            raise DetectorError(f"unknown stage-2 statistic {kind!r}")
+        with np.errstate(over="ignore", invalid="ignore"):
+            if kind == "dispersion":
+                stat = _dispersion(xs, ys, run_id, off_l, off_r)
+            elif kind == "turn_angle":
+                stat = _turn_angle(xs, ys, a, b)
+            elif kind == "eigen_ratio":
+                stat = _eigen_ratio(xs, ys, run_id, run_starts, a, b)
+            else:
+                raise DetectorError(f"unknown stage-2 statistic {kind!r}")
+        if not np.isfinite(stat).all():
+            first = idx[np.argmin(np.isfinite(stat))]
+            raise DetectorError(
+                f"scores must be finite: the {kind} at sample {first} overflows (coordinates out of range)"
+            )
+        out[kind][idx] = stat
     return out
 
 

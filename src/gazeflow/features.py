@@ -132,7 +132,8 @@ def featurize_sequence(
     Returns (centers, features): centers is the strictly increasing array of
     center sample indices that received a window, features the matching
     (m, window_len, 2) stack. Windows containing unrepaired invalid samples
-    are skipped (see window_starts).
+    are skipped (see window_starts); a window whose features overflow raises
+    FeatureError.
     """
     n = len(seq)
     L = config.window_len
@@ -145,11 +146,17 @@ def featurize_sequence(
 
     wx = sliding_window_view(x, L)[starts].copy()
     wy = sliding_window_view(y, L)[starts].copy()
-    if config.demean:
-        wx -= wx.mean(axis=1, keepdims=True)
-        wy -= wy.mean(axis=1, keepdims=True)
-    feats = np.stack([np.abs(np.fft.fft(wx, axis=1)), np.abs(np.fft.fft(wy, axis=1))], axis=2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if config.demean:
+            wx -= wx.mean(axis=1, keepdims=True)
+            wy -= wy.mean(axis=1, keepdims=True)
+        feats = np.stack([np.abs(np.fft.fft(wx, axis=1)), np.abs(np.fft.fft(wy, axis=1))], axis=2)
     centers = starts + config.center_offset
+    if not np.isfinite(feats).all():
+        first = centers[np.argmin(np.isfinite(feats).all(axis=(1, 2)))]
+        raise FeatureError(
+            f"features must be finite: the window centred on sample {first} overflows (coordinates out of range)"
+        )
     return centers, feats
 
 

@@ -174,7 +174,6 @@ class DatasetSplit:
     train: WindowSet
     validation: WindowSet
     test: WindowSet
-    ratios: tuple[float, float, float] = (0.75, 0.125, 0.125)
 
 
 DEFAULT_SPLIT_RATIOS = (0.75, 0.125, 0.125)
@@ -228,5 +227,4 @@ def split_dataset(
         train=windows.subset(pick(train_units)),
         validation=windows.subset(pick(val_units)),
         test=windows.subset(pick(test_units)),
-        ratios=tuple(ratios),
     )

@@ -13,10 +13,12 @@ Layout (all integers little-endian u32, all floats little-endian f64):
 
 Loading validates magic, version, header consistency, payload length,
 checksum and that every weight is finite; each failure raises a distinct
-error type.
+error type. The header geometry is checked by the network's one geometry
+rule, net.param_shapes, which also gives the payload length.
 """
 from __future__ import annotations
 
+import math
 import struct
 import zlib
 from pathlib import Path
@@ -24,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .gaze import N_CLASSES
-from .net import N_CHANNELS, NetworkParams, flattened_dim
+from .net import N_CHANNELS, NetError, NetworkParams, param_shapes
 
 MAGIC = b"GZNN"
 FORMAT_VERSION = 1
@@ -78,13 +80,12 @@ def load_model(path: str | Path) -> NetworkParams:
         raise ModelVersionError(f"unsupported format version {version}")
     if n_classes != N_CLASSES or n_channels != N_CHANNELS:
         raise ModelShapeError("unsupported class/channel count")
-    if not (1 <= kernel_len <= input_len) or pool_factor < 1 or n_filters < 1:
-        raise ModelShapeError("invalid layer geometry in header")
-    flat = flattened_dim(input_len, kernel_len, pool_factor, n_filters)
-    if flat == 0:
-        raise ModelShapeError("layer geometry leaves no pooled outputs")
+    try:
+        shapes = param_shapes(input_len, kernel_len, pool_factor, n_filters)
+    except NetError as exc:
+        raise ModelShapeError(f"invalid layer geometry in header: {exc}") from None
 
-    n_weights = n_filters * kernel_len * n_channels + n_filters + n_classes * flat + n_classes
+    n_weights = sum(math.prod(shape) for shape in shapes)
     expected = _HEADER.size + 8 * n_weights + 4
     if len(blob) != expected:
         raise ModelShapeError(

@@ -9,10 +9,14 @@ is the nonlinearity.
 
 All arithmetic is float64. The weights live in one contiguous vector,
 ordered conv_w, conv_b, dense_w, dense_b (the model file's payload order);
-the four named arrays are read-only views into it. Gradients and the Adam
-moments share that layout, so an optimizer step is a few whole-vector
-operations. The convolution unfolds each batch into im2col columns with one
-gather, so memory grows with the batch and not with the training set.
+the four named arrays are read-only views into it. param_shapes is the one
+rule that turns a layer geometry into those four shapes: the constructors,
+the model loader and the config check all go through it. Gradients and the
+Adam moments share that layout, so an optimizer step is a few whole-vector
+operations, and _like is the one way a step's result vector becomes a new
+weight object of the same geometry without a copy. The convolution unfolds
+each batch into im2col columns with one gather, so memory grows with the
+batch and not with the training set.
 Forward/backward are pure functions of immutable parameters, training is
 bit-deterministic for a fixed seed, and gradients are the exact analytic
 derivatives of the cross-entropy loss.
@@ -44,9 +48,22 @@ class TrainingError(ValueError):
     """Bad training inputs (empty splits, invalid configuration) or a diverged run."""
 
 
-def flattened_dim(input_len: int, kernel_len: int, pool_factor: int, n_filters: int = N_FILTERS) -> int:
-    """Width of the dense layer input implied by the layer geometry."""
-    return n_filters * ((input_len - kernel_len + 1) // pool_factor)
+def param_shapes(
+    input_len: int, kernel_len: int, pool_factor: int, n_filters: int = N_FILTERS
+) -> tuple[tuple[int, ...], ...]:
+    """Shapes of conv_w, conv_b, dense_w and dense_b for a layer geometry.
+
+    The one geometry rule: a valid convolution leaves input_len - kernel_len
+    + 1 positions, and pooling by pool_factor (floor) leaves the regions the
+    dense layer reads, each with n_filters values. Raises NetError when a
+    size is below 1 or no pooled output is left.
+    """
+    if min(kernel_len, pool_factor, n_filters) < 1:
+        raise NetError("kernel_len, pool_factor and n_filters must be >= 1")
+    regions = (input_len - kernel_len + 1) // pool_factor
+    if regions < 1:
+        raise NetError("layer geometry leaves no pooled outputs")
+    return (n_filters, kernel_len, N_CHANNELS), (n_filters,), (N_CLASSES, n_filters * regions), (N_CLASSES,)
 
 
 def _bind(obj, vector: np.ndarray, shapes) -> None:
@@ -73,6 +90,13 @@ class _WeightVector:
         for name in _PARAM_FIELDS:
             yield name, getattr(self, name)
 
+    def _like(self, vector: np.ndarray):
+        """The same type and geometry over `vector`, which is taken over, not copied."""
+        new = object.__new__(type(self))
+        new.__dict__.update(self.__dict__)
+        _bind(new, vector, self.shapes)
+        return new
+
 
 @dataclass(frozen=True)
 class NetworkParams(_WeightVector):
@@ -92,62 +116,34 @@ class NetworkParams(_WeightVector):
     vector: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        cw = np.asarray(self.conv_w, dtype=np.float64)
-        cb = np.asarray(self.conv_b, dtype=np.float64)
-        dw = np.asarray(self.dense_w, dtype=np.float64)
-        db = np.asarray(self.dense_b, dtype=np.float64)
-        if cw.ndim != 3 or cw.shape[2] != N_CHANNELS:
+        arrays = [np.asarray(getattr(self, name), dtype=np.float64) for name in _PARAM_FIELDS]
+        if arrays[0].ndim != 3:
             raise NetError("conv_w must have shape (filters, kernel_len, 2)")
-        n_filters, kernel_len, _ = cw.shape
-        if not 1 <= kernel_len <= self.input_len:
-            raise NetError("kernel_len must lie in [1, input_len]")
-        if self.pool_factor < 1:
-            raise NetError("pool_factor must be >= 1")
-        flat = flattened_dim(self.input_len, kernel_len, self.pool_factor, n_filters)
-        if flat == 0:
-            raise NetError("layer geometry leaves no pooled outputs")
-        if cb.shape != (n_filters,):
-            raise NetError("conv_b shape mismatch")
-        if dw.shape != (N_CLASSES, flat):
-            raise NetError(f"dense_w must have shape ({N_CLASSES}, {flat}), got {dw.shape}")
-        if db.shape != (N_CLASSES,):
-            raise NetError("dense_b shape mismatch")
-        vector = np.concatenate([cw.ravel(), cb, dw.ravel(), db])
+        n_filters, kernel_len, _ = arrays[0].shape
+        shapes = param_shapes(self.input_len, kernel_len, self.pool_factor, n_filters)
+        for name, a, shape in zip(_PARAM_FIELDS, arrays, shapes):
+            if a.shape != shape:
+                raise NetError(f"{name} must have shape {shape}, got {a.shape}")
+        vector = np.concatenate([a.ravel() for a in arrays])
         if not np.isfinite(vector).all():
             raise NetError("weights must be finite")
-        _bind(self, vector, (cw.shape, cb.shape, dw.shape, db.shape))
+        _bind(self, vector, shapes)
 
     @classmethod
     def from_vector(
         cls, vector: np.ndarray, kernel_len: int, pool_factor: int, input_len: int, n_filters: int = N_FILTERS
     ) -> "NetworkParams":
         """Validated parameters from a flat vector in payload order (copied)."""
-        flat = flattened_dim(input_len, kernel_len, pool_factor, n_filters)
-        sizes = np.cumsum([n_filters * kernel_len * N_CHANNELS, n_filters, N_CLASSES * flat])
-        if flat <= 0 or vector.shape != (sizes[-1] + N_CLASSES,):
+        shapes = param_shapes(input_len, kernel_len, pool_factor, n_filters)
+        sizes = [math.prod(shape) for shape in shapes]
+        if vector.shape != (sum(sizes),):
             raise NetError("weight vector does not match the layer geometry")
-        cw, cb, dw, db = np.split(vector, sizes)
+        parts = np.split(vector, np.cumsum(sizes[:-1]))
         return cls(
-            conv_w=cw.reshape(n_filters, kernel_len, N_CHANNELS),
-            conv_b=cb,
-            dense_w=dw.reshape(N_CLASSES, flat),
-            dense_b=db,
+            *(part.reshape(shape) for part, shape in zip(parts, shapes)),
             pool_factor=pool_factor,
             input_len=input_len,
         )
-
-    def _with_vector(self, vector: np.ndarray) -> "NetworkParams":
-        """The same geometry with new weights; `vector` is taken over, not copied.
-
-        The one check is finiteness: everything else holds by construction.
-        """
-        if not np.isfinite(vector).all():
-            raise NetError("weights must be finite")
-        new = object.__new__(NetworkParams)
-        object.__setattr__(new, "pool_factor", self.pool_factor)
-        object.__setattr__(new, "input_len", self.input_len)
-        _bind(new, vector, self.shapes)
-        return new
 
     @property
     def kernel_len(self) -> int:
@@ -159,11 +155,11 @@ class NetworkParams(_WeightVector):
 
     @property
     def n_regions(self) -> int:
-        return (self.input_len - self.kernel_len + 1) // self.pool_factor
+        return self.dense_w.shape[1] // self.n_filters
 
     @property
     def flat_dim(self) -> int:
-        return self.n_filters * self.n_regions
+        return self.dense_w.shape[1]
 
 
 @dataclass(frozen=True)
@@ -179,13 +175,6 @@ class Gradients(_WeightVector):
     def __post_init__(self):
         arrays = [np.asarray(getattr(self, name), dtype=np.float64) for name in _PARAM_FIELDS]
         _bind(self, np.concatenate([a.ravel() for a in arrays]), [a.shape for a in arrays])
-
-    @classmethod
-    def _wrap(cls, vector: np.ndarray, shapes) -> "Gradients":
-        """Gradients over `vector` (taken over, not copied) with the given array shapes."""
-        new = object.__new__(cls)
-        _bind(new, vector, shapes)
-        return new
 
 
 @dataclass(frozen=True)
@@ -216,7 +205,7 @@ class AdamState:
 
     @classmethod
     def zeros(cls, params: NetworkParams) -> "AdamState":
-        zero = Gradients._wrap(np.zeros_like(params.vector), params.shapes)
+        zero = Gradients(*(np.zeros(shape) for shape in params.shapes))
         return cls(m=zero, v=zero, t=0)
 
 
@@ -251,7 +240,7 @@ class TrainConfig:
     kernel_len: int = 10
     pool_factor: int = 5
     keep: str = "best"  # "best": best-validation weights anywhere in the run;
-    # "final": the raw phase-2 endpoint
+    # "final": the last weights, where phase 2 ends
 
     def __post_init__(self):
         if self.batch_size < 1:
@@ -395,8 +384,7 @@ def backward_batch(
 
     d_w2d = dconv.reshape(-1, F).T @ cache.cols.reshape(-1, K * N_CHANNELS)
     d_conv_b = dconv.sum(axis=(0, 1))
-    vector = np.concatenate([d_w2d.ravel(), d_conv_b, d_dense_w.ravel(), d_dense_b])
-    return Gradients._wrap(vector, params.shapes)
+    return Gradients(d_w2d.reshape(F, K, N_CHANNELS), d_conv_b, d_dense_w, d_dense_b)
 
 
 def forward(params: NetworkParams, feature: np.ndarray) -> ForwardResult:
@@ -444,11 +432,9 @@ def adam_step(
     m_hat = m / bc1
     v_hat = v / bc2
     theta = params.vector - config.alpha * m_hat / (np.sqrt(v_hat) + config.epsilon)
-    shapes = params.shapes
-    return (
-        params._with_vector(theta),
-        AdamState(m=Gradients._wrap(m, shapes), v=Gradients._wrap(v, shapes), t=t),
-    )
+    if not np.isfinite(theta).all():
+        raise NetError("weights must be finite")
+    return params._like(theta), AdamState(m=state.m._like(m), v=state.v._like(v), t=t)
 
 
 # ---------------------------------------------------------------------------
@@ -456,27 +442,23 @@ def adam_step(
 
 
 def init_params(
-    seed: int, kernel_len: int = 10, input_len: int = 30, pool_factor: int = 5
+    seed: int,
+    kernel_len: int = TrainConfig.kernel_len,
+    input_len: int = 30,
+    pool_factor: int = TrainConfig.pool_factor,
 ) -> NetworkParams:
     """Uniform fan-based initialization, biases zero, deterministic per seed.
 
     Each weight layer draws from U(-b, b) with b = sqrt(6 / (fan_in + fan_out));
     the conv layer counts fan_in = kernel_len * channels and fan_out = filters.
     """
+    conv_shape, conv_b_shape, dense_shape, dense_b_shape = param_shapes(input_len, kernel_len, pool_factor)
     rng = np.random.default_rng(seed)
     conv_bound = np.sqrt(6.0 / (kernel_len * N_CHANNELS + N_FILTERS))
-    conv_w = rng.uniform(-conv_bound, conv_bound, size=(N_FILTERS, kernel_len, N_CHANNELS))
-    flat = flattened_dim(input_len, kernel_len, pool_factor)
-    dense_bound = np.sqrt(6.0 / (flat + N_CLASSES))
-    dense_w = rng.uniform(-dense_bound, dense_bound, size=(N_CLASSES, flat))
-    return NetworkParams(
-        conv_w=conv_w,
-        conv_b=np.zeros(N_FILTERS),
-        dense_w=dense_w,
-        dense_b=np.zeros(N_CLASSES),
-        pool_factor=pool_factor,
-        input_len=input_len,
-    )
+    conv_w = rng.uniform(-conv_bound, conv_bound, size=conv_shape)
+    dense_bound = np.sqrt(6.0 / (dense_shape[1] + N_CLASSES))
+    dense_w = rng.uniform(-dense_bound, dense_bound, size=dense_shape)
+    return NetworkParams(conv_w, np.zeros(conv_b_shape), dense_w, np.zeros(dense_b_shape), pool_factor, input_len)
 
 
 def frame_accuracy(params: NetworkParams, windows: WindowSet) -> float:
@@ -496,13 +478,14 @@ def train(
 ) -> tuple[NetworkParams, TrainHistory]:
     """Two-phase training over a dataset split.
 
-    Phase 1 trains from a seeded initialization, recording mean frame
-    accuracy on the validation part after every epoch. The best-validation
-    weights (earliest epoch on ties) seed phase 2, which runs with its own
-    Adam parameters and a fresh optimizer state. The second phase's low
-    second-moment decay makes its updates sign-like and noisy, so by default
-    the weights returned are the best-validation ones seen anywhere in the
-    run (config.keep="final" returns the raw phase-2 endpoint instead).
+    Each phase starts from the best-validation weights so far (the seeded
+    initialization for phase 1; the earliest epoch wins ties) with its own
+    Adam parameters and a fresh optimizer state, and records the mean frame
+    accuracy on the validation part after every epoch. The second phase's
+    low second-moment decay makes its updates sign-like and noisy, so by
+    default the weights returned are the best-validation ones seen anywhere
+    in the run (config.keep="final" returns the last weights instead: the
+    phase-2 endpoint, or its start when phase 2 runs no epoch).
     Deterministic per seed; the full history always covers both phases.
     """
     if len(split.train) == 0 or len(split.validation) == 0:
@@ -521,53 +504,36 @@ def train(
     labels = split.train.labels.astype(np.int64)
 
     records: list[EpochRecord] = []
-
-    def run_phase(phase_no: int, phase: PhaseConfig, params: NetworkParams):
-        state = AdamState.zeros(params)
-        for epoch in range(phase.epochs):
-            order = shuffle_rng.permutation(n) if config.shuffle else np.arange(n)
-            losses = []
-            for batch, lo in enumerate(range(0, n, config.batch_size)):
-                idx = order[lo : lo + config.batch_size]
-                # looked up as module globals on every call, so they can be wrapped
-                cache = forward_batch(params, features[idx])
-                p_true = cache.probs[np.arange(idx.shape[0]), labels[idx]]
-                loss = float(-np.log(np.maximum(p_true, PROB_FLOOR)).mean())
-                if not math.isfinite(loss):
-                    raise TrainingError(
-                        f"training diverged: non-finite loss in phase {phase_no}, epoch {epoch}, batch {batch}"
-                    )
-                losses.append(loss)
-                grads = backward_batch(params, cache, labels[idx], mean=True)
-                try:
-                    params, state = adam_step(params, grads, state, phase.adam)
-                except NetError:
-                    raise TrainingError(
-                        f"training diverged: non-finite weights after phase {phase_no}, epoch {epoch}, batch {batch}"
-                    ) from None
-            val_acc = frame_accuracy(params, split.validation)
-            records.append(EpochRecord(phase_no, epoch, float(np.mean(losses)), val_acc))
-            yield params
-
-    best_idx = -1
-    best_acc = -np.inf
-    best_params = params  # initialization wins if no epoch runs
+    best_idx, best_acc, best_params = -1, -np.inf, params  # initialization wins if no epoch runs
     # a diverging run overflows before it is caught as non-finite: no warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        for params_after in run_phase(1, config.phase1, params):
-            if records[-1].val_accuracy > best_acc:
-                best_acc = records[-1].val_accuracy
-                best_idx = len(records) - 1
-                best_params = params_after
-
-        final_params = best_params
-        for params_after in run_phase(2, config.phase2, final_params):
-            final_params = params_after
-            if records[-1].val_accuracy > best_acc:
-                best_acc = records[-1].val_accuracy
-                best_idx = len(records) - 1
-                best_params = params_after
+        for phase_no, phase in ((1, config.phase1), (2, config.phase2)):
+            params, state = best_params, AdamState.zeros(best_params)
+            for epoch in range(phase.epochs):
+                order = shuffle_rng.permutation(n) if config.shuffle else np.arange(n)
+                losses = []
+                for batch, lo in enumerate(range(0, n, config.batch_size)):
+                    idx = order[lo : lo + config.batch_size]
+                    # looked up as module globals on every call, so they can be wrapped
+                    cache = forward_batch(params, features[idx])
+                    p_true = cache.probs[np.arange(idx.shape[0]), labels[idx]]
+                    loss = float(-np.log(np.maximum(p_true, PROB_FLOOR)).mean())
+                    if not math.isfinite(loss):
+                        raise TrainingError(
+                            f"training diverged: non-finite loss in phase {phase_no}, epoch {epoch}, batch {batch}"
+                        )
+                    losses.append(loss)
+                    grads = backward_batch(params, cache, labels[idx], mean=True)
+                    try:
+                        params, state = adam_step(params, grads, state, phase.adam)
+                    except NetError:
+                        raise TrainingError(
+                            f"training diverged: non-finite weights after phase {phase_no}, epoch {epoch}, batch {batch}"
+                        ) from None
+                val_acc = frame_accuracy(params, split.validation)
+                records.append(EpochRecord(phase_no, epoch, float(np.mean(losses)), val_acc))
+                if val_acc > best_acc:
+                    best_acc, best_idx, best_params = val_acc, len(records) - 1, params
 
     history = TrainHistory(records=tuple(records), best_epoch=best_idx)
-    returned = final_params if config.keep == "final" else best_params
-    return returned, history
+    return (params if config.keep == "final" else best_params), history

@@ -16,7 +16,7 @@ import numpy as np
 
 from .detectors import BaselineConfig
 from .features import FrontendConfig
-from .net import TrainConfig, flattened_dim
+from .net import NetError, TrainConfig, param_shapes
 from .simulate import StimulusConfig
 
 
@@ -162,11 +162,13 @@ def build_run_config(values: dict[str, dict[str, object]], seed: int = 0) -> Run
         phases = {p: _apply_phase(p, training) for p in _PHASES}
         train = _apply(_TRAIN, {**training, **values.get("network", {})}, skip=_PHASES)
         train = replace(train, seed=seed, **phases)
-        if flattened_dim(frontend.window_len, train.kernel_len, train.pool_factor) <= 0:
+        try:
+            param_shapes(frontend.window_len, train.kernel_len, train.pool_factor)
+        except NetError:
             raise ConfigError(
                 f"[network] kernel_len = {train.kernel_len} and pool_factor = {train.pool_factor} "
                 f"leave no pooled output for [frontend] window_len = {frontend.window_len}"
-            )
+            ) from None
         baselines = _apply(BaselineConfig(), values.get("baselines", {}))
         stimulus = replace(_apply(StimulusConfig(), values.get("stimulus", {})), seed=seed)
         evaluation = _apply(EvaluationConfig(), values.get("evaluation", {}))

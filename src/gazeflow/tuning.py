@@ -46,7 +46,7 @@ class TuningGrids:
 def tune_baselines(
     sequences: list[GazeSequence],
     grids: TuningGrids = TuningGrids(),
-    window_len: int = 30,
+    window_len: int = BaselineConfig.window_len,
     max_gap: int = FrontendConfig.interp_max_gap,
 ) -> dict[str, BaselineConfig]:
     """Pick per-baseline thresholds maximizing macro F1 on labeled sequences.

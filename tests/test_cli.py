@@ -396,6 +396,23 @@ class TestDataErrors:
         assert "angle_threshold_rad must be at most pi" in one_error_line(capsys)
         assert not (tmp_path / "p.csv").exists()
 
+    @pytest.mark.parametrize("command", ["detect", "compare"])
+    def test_baseline_window_len_2_exit2(self, tmp_path, tiny_config, capsys, command):
+        # the last 2-sample window centres on the last sample, which has no velocity
+        data = synth(tmp_path, tiny_config, n=3, seed=5)
+        model = tmp_path / "init.gznn"
+        save_model(init_params(0), model)
+        cfg = tmp_path / "w2.cfg"
+        cfg.write_text("[baselines]\nwindow_len = 2\n")
+        argv = {
+            "detect": ["detect", "--baseline", "ivt-idt", "--in", str(data / "seq-0000.csv"), "--out", str(tmp_path / "p.csv")],
+            "compare": ["compare", "--data-dir", str(data), "--model", str(model), "--report-dir", str(tmp_path / "r")],
+        }[command]
+        capsys.readouterr()
+        assert main([*argv, "--config", str(cfg)]) == 2
+        assert "window_len must be >= 3" in one_error_line(capsys)
+        assert not (tmp_path / "p.csv").exists() and not (tmp_path / "r").exists()
+
     def test_unknown_config_key_exit2(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("[training]\nwarp_speed = 9\n")
@@ -566,6 +583,44 @@ def test_speed_overflow_is_one_error_line(tmp_path, capsys, baseline):
     err = one_error_line(capsys)
     assert err.startswith("data error: scores must be finite: the speed at sample ")
     assert err.endswith(" overflows (coordinates or timestamps out of range)")
+    assert not (tmp_path / "p.csv").exists()
+
+
+ALTERNATING = np.tile([1e308, 1e308 * (1 - 1e-15)], 20)
+STAGE2_OVERFLOW = {
+    # the eigen_ratio moments of a run at x = 1e308 overflow
+    "pca": (np.full(40, 1e308), np.zeros(40), "eigen_ratio"),
+    # steps of 1e293 degrees: the products in the turning angle overflow
+    "ivmp": (ALTERNATING, ALTERNATING, "turn_angle"),
+}
+
+
+@pytest.mark.parametrize("baseline", sorted(STAGE2_OVERFLOW))
+def test_stage2_overflow_is_one_error_line(tmp_path, capsys, baseline):
+    x, y, kind = STAGE2_OVERFLOW[baseline]
+    seq = GazeSequence(np.arange(x.size) * (1000 / 300), x, y, np.ones(x.size, bool))
+    write_gaze_csv(seq, tmp_path / "huge.csv")
+    capsys.readouterr()
+    code = main(["detect", "--baseline", baseline, "--in", str(tmp_path / "huge.csv"), "--out", str(tmp_path / "p.csv")])
+    assert code == 3
+    err = one_error_line(capsys)
+    assert err.startswith(f"data error: scores must be finite: the {kind} at sample ")
+    assert err.endswith(" overflows (coordinates out of range)")
+    assert not (tmp_path / "p.csv").exists()
+
+
+def test_feature_overflow_is_one_error_line(tmp_path, capsys):
+    # the window means of a recording at x = 1e308 overflow
+    x = np.full(40, 1e308)
+    write_gaze_csv(GazeSequence(np.arange(40) * (1000 / 300), x, np.zeros(40), np.ones(40, bool)), tmp_path / "huge.csv")
+    save_model(init_params(0), tmp_path / "init.gznn")
+    capsys.readouterr()
+    code = main(["detect", "--model", str(tmp_path / "init.gznn"), "--in", str(tmp_path / "huge.csv"),
+                 "--out", str(tmp_path / "p.csv")])
+    assert code == 3
+    assert one_error_line(capsys) == (
+        "data error: features must be finite: the window centred on sample 15 overflows (coordinates out of range)"
+    )
     assert not (tmp_path / "p.csv").exists()
 
 

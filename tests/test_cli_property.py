@@ -2,16 +2,21 @@
 
 Each example writes random bytes, a truncation or a one-byte mutation of a
 valid gaze CSV, predictions CSV, config or model file and runs the CLI on
-it. Whatever the bytes, `main` returns 0, 2, 3 or 4 and never raises.
+it. Whatever the bytes, `main` returns 0, 2, 3 or 4 and never raises. A
+second strategy writes well-formed gaze CSVs whose finite coordinates reach
++-1e308, where speeds, features and stage-2 statistics overflow; the suite
+turns a RuntimeWarning into an error, so each overflow must be caught.
 """
 import contextlib
 import io
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gazeflow.cli import main
+from gazeflow.gaze import GazeSequence
 from gazeflow.gaze_io import write_gaze_csv
 from gazeflow.model_io import save_model
 from gazeflow.net import init_params
@@ -87,6 +92,45 @@ def test_damaged_file_ends_in_documented_exit_code(files, kind):
     @given(data=damaged(valid), command=st.sampled_from(COMMANDS[kind]))
     def run(data, command):
         fuzz.write_bytes(data)
+        argv = [str(fuzz) if a == "FUZZ" else str(files / a) if a in FILES else a for a in command]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        assert code in DOCUMENTED_EXIT_CODES
+
+    run()
+
+
+@st.composite
+def far_gaze(draw) -> GazeSequence:
+    """A labeled recording at 300 Hz whose coordinates stay within +-1e308:
+    each axis is a centre scaled down per sample by up to a drawn spread.
+
+    Large centres overflow sums over a window; spreads of 10^-20 to 1 give
+    steps from neighbour-sized to speed-overflowing."""
+    n = draw(st.integers(30, 60))
+    axes = []
+    for _ in range(2):
+        centre = draw(st.floats(-1.0, 1.0)) * 1e308
+        spread = draw(st.sampled_from([0.0, *(10.0 ** -np.arange(21))]))
+        jitter = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
+        axes.append(centre * (1.0 - spread * np.array(jitter)))
+    labels = np.array(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)), dtype=np.int8)
+    return GazeSequence(np.arange(n) * (1000 / 300), *axes, np.ones(n, bool), labels)
+
+
+FAR_COMMANDS = [
+    ["detect", "--model", "model.gznn", "--in", "FUZZ", "--out", "out.csv"],
+    *(["detect", "--baseline", name, "--in", "FUZZ", "--out", "out.csv"] for name in ("ivt", "ivt-idt", "ivmp", "pca")),
+]
+
+
+def test_far_coordinates_end_in_documented_exit_code(files):
+    fuzz = files / "fuzz-far.csv"
+
+    @settings(max_examples=50, deadline=None, database=None)
+    @given(seq=far_gaze(), command=st.sampled_from(FAR_COMMANDS))
+    def run(seq, command):
+        write_gaze_csv(seq, fuzz)
         argv = [str(fuzz) if a == "FUZZ" else str(files / a) if a in FILES else a for a in command]
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             code = main(argv)

@@ -91,11 +91,18 @@ class TestErrors:
         with pytest.raises(ModelCorruptError, match="non-finite"):
             load_model(model_path)
 
-    def test_inconsistent_dims(self, model_path):
+    # header fields after magic and version: kernel_len, pool_factor, n_filters,
+    # n_channels, input_len, n_classes, at byte offsets 8, 12, ..., 28
+    @pytest.mark.parametrize(
+        "offset,value",
+        [(8, 7), (8, 0), (12, 0), (16, 0), (8, 31), (24, 9), (8, 2**32 - 1)],
+        ids=["kernel-7", "kernel-0", "pool-0", "filters-0", "kernel-over-input", "input-9", "kernel-max"],
+    )
+    def test_inconsistent_dims(self, model_path, offset, value):
         params = init_params(1)
         save_model(params, model_path)
         blob = bytearray(model_path.read_bytes())
-        blob[8:12] = struct.pack("<I", 7)  # kernel_len 7 does not match payload
+        blob[offset : offset + 4] = struct.pack("<I", value)
         model_path.write_bytes(bytes(blob))
         with pytest.raises(ModelShapeError):
             load_model(model_path)

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import tracemalloc
 from dataclasses import replace
@@ -21,26 +22,27 @@ from gazeflow.net import (
     adam_step,
     backward,
     backward_batch,
-    flattened_dim,
     forward,
     forward_batch,
     init_params,
     loss_cross_entropy,
+    param_shapes,
     softmax,
     train,
 )
 
 
 def zero_params(kernel_len=10, input_len=30, pool_factor=5):
-    flat = flattened_dim(input_len, kernel_len, pool_factor)
-    return NetworkParams(
-        conv_w=np.zeros((10, kernel_len, 2)),
-        conv_b=np.zeros(10),
-        dense_w=np.zeros((3, flat)),
-        dense_b=np.zeros(3),
-        pool_factor=pool_factor,
-        input_len=input_len,
-    )
+    shapes = param_shapes(input_len, kernel_len, pool_factor)
+    return NetworkParams(*(np.zeros(shape) for shape in shapes), pool_factor=pool_factor, input_len=input_len)
+
+
+def valid_geometry(input_len, kernel_len, pool_factor):
+    try:
+        param_shapes(input_len, kernel_len, pool_factor)
+    except NetError:
+        return False
+    return True
 
 
 def loop_forward(params, feat):
@@ -326,6 +328,50 @@ class TestInitParams:
         assert abs(w.mean()) < 3 * sigma / np.sqrt(w.size)
 
 
+def brute_shapes(input_len, kernel_len, pool_factor, n_filters):
+    """The four shapes by counting conv positions and whole pool regions one by one."""
+    positions = sum(1 for start in range(input_len) if start + kernel_len <= input_len)
+    regions = sum(1 for r in range(positions) if (r + 1) * pool_factor <= positions)
+    if min(kernel_len, pool_factor, n_filters) < 1 or regions == 0:
+        return None
+    return (n_filters, kernel_len, 2), (n_filters,), (3, n_filters * regions), (3,)
+
+
+class TestParamShapes:
+    def test_matches_brute_force_arithmetic(self):
+        checked = rejected = 0
+        for input_len, kernel_len, pool_factor, n_filters in itertools.product(
+            range(0, 13), range(0, 15), range(0, 9), (0, 1, 3)
+        ):
+            want = brute_shapes(input_len, kernel_len, pool_factor, n_filters)
+            if want is None:
+                with pytest.raises(NetError):
+                    param_shapes(input_len, kernel_len, pool_factor, n_filters)
+                rejected += 1
+            else:
+                assert param_shapes(input_len, kernel_len, pool_factor, n_filters) == want
+                checked += 1
+        assert checked > 100 and rejected > 100
+
+    @pytest.mark.parametrize(
+        "kernel_len,pool_factor", [(0, 5), (10, 0), (31, 1), (30, 2), (27, 5)], ids=str
+    )
+    def test_constructors_reject_the_same_geometries(self, kernel_len, pool_factor):
+        with pytest.raises(NetError):
+            param_shapes(30, kernel_len, pool_factor)
+        with pytest.raises(NetError):
+            init_params(0, kernel_len=kernel_len, pool_factor=pool_factor)
+        with pytest.raises(NetError):
+            NetworkParams.from_vector(np.zeros(333), kernel_len=kernel_len, pool_factor=pool_factor, input_len=30)
+
+    @pytest.mark.parametrize("name", ["conv_b", "dense_w", "dense_b"])
+    def test_constructor_compares_every_shape(self, name):
+        arrays = dict(zero_params().arrays())
+        arrays[name] = np.zeros(arrays[name].size + 1)
+        with pytest.raises(NetError, match=name):
+            NetworkParams(**arrays)
+
+
 def toy_separable_split(n=20, seed=0):
     """Windows with energy at distinct frequency bins per class."""
     rng = np.random.default_rng(seed)
@@ -480,7 +526,7 @@ def tied_features(rng, B):
 GEOMETRIES = [
     (B, K, P)
     for B, K, P in itertools.product((1, 64, 1000), (1, 10, 30), (1, 5, 7))
-    if flattened_dim(30, K, P) > 0
+    if valid_geometry(30, K, P)
 ]
 
 
@@ -559,6 +605,25 @@ class TestAgainstArrayOracle:
         with pytest.raises(NetError):
             NetworkParams.from_vector(params.vector[:-1], kernel_len=5, pool_factor=7, input_len=30)
 
+    def test_like_takes_the_vector_over(self):
+        params = init_params(4, kernel_len=5, pool_factor=7)
+        grads = Gradients(**dict(params.arrays()))
+        for holder in (params, grads):
+            vector = np.arange(holder.vector.size, dtype=np.float64)
+            new = holder._like(vector)
+            assert type(new) is type(holder)
+            assert new.vector is vector and not vector.flags.writeable
+            assert new.shapes == holder.shapes
+            assert np.array_equal(new.dense_b, vector[-3:])
+        new = params._like(np.zeros(params.vector.size))
+        assert (new.pool_factor, new.input_len, new.kernel_len) == (7, 30, 5)
+
+    def test_adam_step_rejects_a_non_finite_update(self):
+        params = init_params(1)
+        nan = Gradients(*(np.full(shape, np.nan) for shape in params.shapes))
+        with pytest.raises(NetError, match="finite"):
+            adam_step(params, nan, AdamState.zeros(params), PHASE1_ADAM)
+
 
 def seeded_split(n_train, n_val, seed=0):
     rng = np.random.default_rng(seed)
@@ -571,6 +636,52 @@ def seeded_split(n_train, n_val, seed=0):
         )
 
     return DatasetSplit(train=part(n_train), validation=part(n_val), test=part(1))
+
+
+def noisy_split(n_train, n_val, seed=0):
+    """Windows whose mean shifts with the label, under unit noise: learnable, not separable."""
+    rng = np.random.default_rng(seed)
+
+    def part(n):
+        labels = rng.integers(0, 3, n)
+        feats = rng.normal(size=(n, 30, 2)) + 0.3 * labels[:, None, None] * np.array([1.0, -1.0])
+        return WindowSet(feats, labels.astype(np.int8), np.zeros(n, dtype=np.int64))
+
+    return DatasetSplit(train=part(n_train), validation=part(n_val), test=part(1))
+
+
+def train_digest(params, history):
+    h = hashlib.sha256(params.vector.tobytes())
+    h.update(repr(history).encode())
+    return h.hexdigest()[:16]
+
+
+# sha256 prefixes of the weights and the history repr, as the earlier
+# train(), with one best-tracking loop per phase, produced them. On the
+# random-label split the best epoch is phase 1's first, so "best" and "final"
+# differ; on the noisy split the (4, 3) best is phase 2's last, and the (4, 0)
+# best is a tie at phase-1 epochs 2 and 3 that the earlier epoch wins.
+GOLDEN_TRAIN = [
+    ("random", 3, 2, "best", "febdc5af5a1d3fa1"),
+    ("random", 3, 2, "final", "a3376cfac50cddda"),
+    ("random", 0, 2, "best", "f27021be7b8f9c88"),
+    ("random", 0, 2, "final", "7f2f2a44c10ec0fe"),
+    ("noisy", 4, 3, "best", "06e0cb5c9c3eeb19"),
+    ("noisy", 4, 3, "final", "06e0cb5c9c3eeb19"),
+    ("noisy", 4, 0, "best", "f55bf1cd466a34e0"),
+    ("noisy", 4, 0, "final", "f55bf1cd466a34e0"),
+    ("noisy", 0, 0, "best", "ce9b41e455aba849"),
+    ("noisy", 0, 0, "final", "ce9b41e455aba849"),
+]
+
+
+@pytest.mark.parametrize("data,epochs1,epochs2,keep,digest", GOLDEN_TRAIN)
+def test_train_golden_hashes(data, epochs1, epochs2, keep, digest):
+    split = seeded_split(300, 60, seed=5) if data == "random" else noisy_split(300, 60, seed=2)
+    cfg = TrainConfig(
+        phase1=PhaseConfig(epochs1, PHASE1_ADAM), phase2=PhaseConfig(epochs2, PHASE2_ADAM), seed=9, keep=keep
+    )
+    assert train_digest(*train(split, cfg)) == digest
 
 
 class TestTrainResources:
@@ -603,7 +714,7 @@ class TestTrainResources:
         def poisoned(params, grads, state, config):
             calls.append(1)
             if len(calls) == 7:
-                grads = Gradients._wrap(np.full_like(grads.vector, np.nan), params.shapes)
+                grads = Gradients(*(np.full(shape, np.nan) for shape in params.shapes))
             return real_adam_step(params, grads, state, config)
 
         monkeypatch.setattr(net, "adam_step", poisoned)
