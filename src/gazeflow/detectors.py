@@ -30,7 +30,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .features import FrontendConfig, featurize_sequence, repair_sequence, window_starts
 from .gaze import GazeSequence, N_CLASSES, LabelClass
-from .net import FORWARD_CHUNK, NetworkParams, forward_batch
+from .net import NetworkParams, score_windows
+from .net import forward_batch  # noqa: F401  perfbench/tracing.py wraps detectors.forward_batch
 
 EPS_VAR = 1e-12  # variance floor for the eigenvalue ratio
 
@@ -125,10 +126,7 @@ def cnn_detect(
 ) -> DetectorOutput:
     """Score every window center with the trained network."""
     centers, feats = featurize_sequence(seq, frontend)
-    probs = np.empty((feats.shape[0], N_CLASSES))
-    for lo in range(0, feats.shape[0], FORWARD_CHUNK):
-        batch = slice(lo, lo + FORWARD_CHUNK)
-        probs[batch] = forward_batch(model, feats[batch]).probs
+    probs = score_windows(model, feats)
     return DetectorOutput(
         n_samples=len(seq),
         sample_idx=centers,

@@ -16,9 +16,12 @@ label fields empty and set covered to 0.
 from __future__ import annotations
 
 import json
+import os
+import secrets
+from contextlib import contextmanager
 from itertools import compress, repeat
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import IO, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -45,15 +48,39 @@ def int_fields(values: Iterable[int]) -> Iterator[str]:
     return map(str, np.asarray(values, dtype=np.int64).tolist())
 
 
+@contextmanager
+def atomic_open(path: str | Path, mode: str = "w", **kwargs) -> Iterator[IO]:
+    """Open `path` for writing ("w" or "wb") so that it changes only as a whole.
+
+    The block writes a new, hidden temporary file in the same directory,
+    which replaces `path` (os.replace) when the block ends, or is removed
+    when it raises: an earlier `path` survives a failed write unchanged.
+    There is no fsync, so a crash of the machine may still lose the write.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{secrets.token_hex(4)}.tmp")
+    try:
+        fh = open(tmp, mode.replace("w", "x"), **kwargs)
+    except OSError as exc:  # such as a missing directory: name the target, not the temporary file
+        raise type(exc)(exc.errno, exc.strerror, str(path)) from None
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_csv(path: str | Path, header: Sequence[str], columns: Sequence[Iterable[str]]) -> None:
     """Write equal-length columns of already-formatted fields as CSV rows.
 
     The columns are read one row at a time, so they may be iterators that
     format each field on demand. Rows end in CRLF, as csv.writer ends them.
     Fields are written as given, so none may hold a comma, a quote or a
-    line break.
+    line break. The file is replaced atomically (atomic_open).
     """
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\r\n")
         fh.writelines(",".join(row) + "\r\n" for row in zip(*columns, strict=True))
 
@@ -189,7 +216,8 @@ def write_trace_csv(seq: GazeSequence, preds: DetectorOutput, path: str | Path) 
 
 
 def write_json(path: str | Path, obj) -> None:
-    Path(path).write_text(json.dumps(obj, indent=2) + "\n", encoding="utf-8")
+    with atomic_open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(obj, indent=2) + "\n")
 
 
 def read_manifest(path: str | Path) -> dict:

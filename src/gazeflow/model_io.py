@@ -26,6 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .gaze import N_CLASSES
+from .gaze_io import atomic_open
 from .net import N_CHANNELS, NetError, NetworkParams, param_shapes
 
 MAGIC = b"GZNN"
@@ -50,7 +51,7 @@ class ModelShapeError(ModelFileError):
 
 
 def save_model(params: NetworkParams, path: str | Path) -> None:
-    """Write parameters to a checkpoint file; load_model inverts it bit-exactly."""
+    """Write parameters to a checkpoint file, atomically; load_model inverts it bit-exactly."""
     payload = params.vector.astype("<f8", copy=False).tobytes()
     header = _HEADER.pack(
         MAGIC,
@@ -63,7 +64,8 @@ def save_model(params: NetworkParams, path: str | Path) -> None:
         N_CLASSES,
     )
     crc = zlib.crc32(payload)
-    Path(path).write_bytes(header + payload + struct.pack("<I", crc))
+    with atomic_open(path, "wb") as fh:
+        fh.write(header + payload + struct.pack("<I", crc))
 
 
 def load_model(path: str | Path) -> NetworkParams:

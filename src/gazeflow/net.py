@@ -15,11 +15,25 @@ the model loader and the config check all go through it. Gradients and the
 Adam moments share that layout, so an optimizer step is a few whole-vector
 operations, and _like is the one way a step's result vector becomes a new
 weight object of the same geometry without a copy. The convolution unfolds
-each batch into im2col columns with one gather, so memory grows with the
-batch and not with the training set.
+each batch into im2col columns with one strided copy, so memory grows with
+the batch and not with the training set.
 Forward/backward are pure functions of immutable parameters, training is
 bit-deterministic for a fixed seed, and gradients are the exact analytic
 derivatives of the cross-entropy loss.
+
+Scoring many windows (frame_accuracy after every epoch, cnn_detect on a
+recording) goes through score_windows. It runs im2col, convolution and
+pooling SCORE_CHUNK (1,024) windows at a time and stacks the pooled
+features of up to FORWARD_CHUNK (65,536) windows for the dense layer and
+softmax. BLAS picks its kernel, and so its rounding, by a product's shape.
+A row of the conv GEMM comes out the same whatever the row count, but the
+dense layer's logits differ by up to ~5e-15 between row counts. So the
+dense layer runs on the same row blocks as forward_batch over every
+FORWARD_CHUNK windows would, and the probabilities equal those bit for bit
+at any length, while the im2col columns and conv outputs held at once are
+those of one chunk. The same trap holds for the weights: the conv GEMM must
+read w2d.T as a transposed view, because a contiguous copy of it takes
+another BLAS path and changes the bits of every trained model.
 """
 from __future__ import annotations
 
@@ -29,13 +43,15 @@ from functools import lru_cache
 from typing import Iterable
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .gaze import DatasetSplit, N_CLASSES, Prediction, WindowSet
 
 PROB_FLOOR = 1e-12
 N_FILTERS = 10
 N_CHANNELS = 2
-FORWARD_CHUNK = 65536  # windows per forward pass when scoring many windows
+FORWARD_CHUNK = 65536  # windows per dense-layer product when scoring many windows
+SCORE_CHUNK = 1024  # windows per im2col, conv and pool pass when scoring
 
 _PARAM_FIELDS = ("conv_w", "conv_b", "dense_w", "dense_b")
 
@@ -66,15 +82,30 @@ def param_shapes(
     return (n_filters, kernel_len, N_CHANNELS), (n_filters,), (N_CLASSES, n_filters * regions), (N_CLASSES,)
 
 
-def _bind(obj, vector: np.ndarray, shapes) -> None:
-    """Freeze `vector` and set it, and its four named views, on `obj`."""
-    vector.setflags(write=False)
-    object.__setattr__(obj, "vector", vector)
-    pos = 0
+@lru_cache(maxsize=16)
+def _layout(shapes) -> tuple[tuple[str, int, int, tuple[int, ...]], ...]:
+    """(name, start, stop, shape) of each named array in a weight vector."""
+    layout, pos = [], 0
     for name, shape in zip(_PARAM_FIELDS, shapes):
         size = math.prod(shape)
-        object.__setattr__(obj, name, vector[pos : pos + size].reshape(shape))
+        layout.append((name, pos, pos + size, shape))
         pos += size
+    return tuple(layout)
+
+
+def _views(vector: np.ndarray, shapes) -> list[np.ndarray]:
+    """The four named arrays of a weight vector, as views into it."""
+    return [vector[lo:hi].reshape(shape) for _, lo, hi, shape in _layout(shapes)]
+
+
+def _bind(obj, vector: np.ndarray, shapes):
+    """Freeze `vector` and set it, and its four named views, on `obj`; returns `obj`."""
+    vector.setflags(write=False)
+    attrs = obj.__dict__  # past the frozen dataclass's __setattr__, as object.__setattr__ would go
+    attrs["vector"] = vector
+    for name, lo, hi, shape in _layout(shapes):
+        attrs[name] = vector[lo:hi].reshape(shape)
+    return obj
 
 
 class _WeightVector:
@@ -84,7 +115,7 @@ class _WeightVector:
 
     @property
     def shapes(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(getattr(self, name).shape for name in _PARAM_FIELDS)
+        return (self.conv_w.shape, self.conv_b.shape, self.dense_w.shape, self.dense_b.shape)
 
     def arrays(self) -> Iterable[tuple[str, np.ndarray]]:
         for name in _PARAM_FIELDS:
@@ -94,8 +125,7 @@ class _WeightVector:
         """The same type and geometry over `vector`, which is taken over, not copied."""
         new = object.__new__(type(self))
         new.__dict__.update(self.__dict__)
-        _bind(new, vector, self.shapes)
-        return new
+        return _bind(new, vector, self.shapes)
 
 
 @dataclass(frozen=True)
@@ -174,7 +204,7 @@ class Gradients(_WeightVector):
 
     def __post_init__(self):
         arrays = [np.asarray(getattr(self, name), dtype=np.float64) for name in _PARAM_FIELDS]
-        _bind(self, np.concatenate([a.ravel() for a in arrays]), [a.shape for a in arrays])
+        _bind(self, np.concatenate([a.ravel() for a in arrays]), tuple(a.shape for a in arrays))
 
 
 @dataclass(frozen=True)
@@ -297,22 +327,10 @@ class ForwardResult:
 
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Numerically stable softmax along the last axis."""
-    z = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
-@lru_cache(maxsize=16)
-def _tap_index(input_len: int, kernel_len: int) -> np.ndarray:
-    """(positions, kernel_len * channels) offsets into one flattened window.
-
-    Entry [p, k * channels + c] addresses sample p + k, channel c, which is
-    the im2col column layout the conv weights are reshaped to.
-    """
-    taps = np.arange(input_len - kernel_len + 1)[:, None] + np.arange(kernel_len)
-    index = (taps[:, :, None] * N_CHANNELS + np.arange(N_CHANNELS)).reshape(taps.shape[0], -1)
-    index.setflags(write=False)
-    return index
+    e = logits - logits.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 @lru_cache(maxsize=16)
@@ -325,32 +343,82 @@ def _scatter_base(batch: int, positions: int, regions: int, pool_factor: int, fi
     return base
 
 
-def forward_batch(params: NetworkParams, feats: np.ndarray) -> ForwardCache:
-    """Run the network over a (B, input_len, 2) feature stack."""
+def _check_features(params: NetworkParams, feats: np.ndarray) -> None:
     if feats.ndim != 3 or feats.shape[1:] != (params.input_len, N_CHANNELS):
         raise NetError(
             f"features must have shape (B, {params.input_len}, {N_CHANNELS}), got {feats.shape}"
         )
+
+
+def _conv_pool(params: NetworkParams, feats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """im2col columns, pooling argmax and pooled features (B, flat_dim) of a window stack.
+
+    Each window's values are the same whatever the stack around it holds.
+    """
     B = feats.shape[0]
     F, K = params.n_filters, params.kernel_len
     R, P = params.n_regions, params.pool_factor
-    cols = np.take(feats.reshape(B, -1), _tap_index(params.input_len, K), axis=1)
+    positions = params.input_len - K + 1
+    # im2col: row p of a window's columns is its flattened samples p .. p + K - 1,
+    # starting N_CHANNELS values after row p - 1; the last row ends on the
+    # window's last value, so the strided view stays inside every window
+    flat_in = feats.reshape(B, params.input_len * N_CHANNELS)
+    step = flat_in.strides[1]
+    cols = as_strided(flat_in, (B, positions, K * N_CHANNELS), (flat_in.strides[0], N_CHANNELS * step, step)).copy()
+    # one 2-D GEMM, bit-equal to the batched (B, positions) product; w2d.T
+    # must stay a transposed view: a contiguous copy takes another BLAS
+    # kernel and rounds differently
     w2d = params.conv_w.reshape(F, K * N_CHANNELS)
-    conv = cols @ w2d.T + params.conv_b  # (B, positions, F)
-    regions = conv[:, : R * P].reshape(B, R, P, F)
+    conv = (cols.reshape(-1, K * N_CHANNELS) @ w2d.T).reshape(B, positions, F)
+    # the bias goes on while the pooled positions are copied into P
+    # contiguous (B, regions, filters) slabs, one per offset in a region
+    slabs = np.empty((P, B, R, F))
+    np.add(conv[:, : R * P].reshape(B, R, P, F).transpose(2, 0, 1, 3), params.conv_b, out=slabs)
     # max over each region: a later offset takes the index only if strictly
     # greater, so the first maximum wins ties (tied values are bit-equal, as
     # a matmul plus bias never yields -0.0)
-    pool = regions[:, :, 0, :].copy()
+    pool = slabs[0]
     pool_arg = np.zeros((B, R, F), dtype=np.intp)
     for j in range(1, P):
-        cand = regions[:, :, j, :]
-        np.putmask(pool_arg, cand > pool, j)
-        np.maximum(pool, cand, out=pool)
-    flat = pool.reshape(B, R * F)
+        np.putmask(pool_arg, slabs[j] > pool, j)
+        np.maximum(pool, slabs[j], out=pool)
+    return cols, pool_arg, pool.reshape(B, R * F)
+
+
+def _dense(params: NetworkParams, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Logits and softmax probabilities of pooled features."""
     logits = flat @ params.dense_w.T + params.dense_b
-    probs = softmax(logits)
+    return logits, softmax(logits)
+
+
+def forward_batch(params: NetworkParams, feats: np.ndarray) -> ForwardCache:
+    """Run the network over a (B, input_len, 2) feature stack."""
+    _check_features(params, feats)
+    cols, pool_arg, flat = _conv_pool(params, feats)
+    logits, probs = _dense(params, flat)
     return ForwardCache(cols, pool_arg, flat, logits, probs, params)
+
+
+def score_windows(params: NetworkParams, feats: np.ndarray) -> np.ndarray:
+    """Class probabilities (n, 3) of an (n, input_len, 2) window stack.
+
+    The scoring path of frame_accuracy and cnn_detect: convolution and
+    pooling SCORE_CHUNK windows at a time, the dense layer and softmax over
+    the stacked pooled features of up to FORWARD_CHUNK windows. Bit-equal to
+    the probabilities of one forward_batch per FORWARD_CHUNK windows (see
+    the module docstring).
+    """
+    _check_features(params, feats)
+    n = feats.shape[0]
+    probs = np.empty((n, N_CLASSES))
+    pooled = np.empty((min(n, FORWARD_CHUNK), params.flat_dim))
+    for lo in range(0, n, FORWARD_CHUNK):
+        block = feats[lo : lo + FORWARD_CHUNK]
+        flat = pooled[: block.shape[0]]
+        for c in range(0, block.shape[0], SCORE_CHUNK):
+            flat[c : c + SCORE_CHUNK] = _conv_pool(params, block[c : c + SCORE_CHUNK])[2]
+        probs[lo : lo + block.shape[0]] = _dense(params, flat)[1]
+    return probs
 
 
 def backward_batch(
@@ -373,8 +441,10 @@ def backward_batch(
     if mean:
         dlogits /= B
 
-    d_dense_w = dlogits.T @ cache.flat
-    d_dense_b = dlogits.sum(axis=0)
+    vector = np.empty(params.vector.size)
+    d_conv_w, d_conv_b, d_dense_w, d_dense_b = _views(vector, params.shapes)
+    np.matmul(dlogits.T, cache.flat, out=d_dense_w)
+    np.sum(dlogits, axis=0, out=d_dense_b)
     dflat = dlogits @ params.dense_w
 
     positions = params.input_len - K + 1
@@ -382,9 +452,11 @@ def backward_batch(
     # each pooled gradient goes to the position its region's maximum came from
     np.put(dconv, _scatter_base(B, positions, R, P, F) + cache.pool_arg * F, dflat)
 
-    d_w2d = dconv.reshape(-1, F).T @ cache.cols.reshape(-1, K * N_CHANNELS)
-    d_conv_b = dconv.sum(axis=(0, 1))
-    return Gradients(d_w2d.reshape(F, K, N_CHANNELS), d_conv_b, d_dense_w, d_dense_b)
+    np.matmul(dconv.reshape(-1, F).T, cache.cols.reshape(-1, K * N_CHANNELS), out=d_conv_w.reshape(F, -1))
+    # dconv holds dflat's values in the same order, with zeros between them:
+    # summing dflat adds the same numbers, so the bias gradient is bit-equal
+    np.sum(dflat.reshape(-1, F), axis=0, out=d_conv_b)
+    return _bind(object.__new__(Gradients), vector, params.shapes)
 
 
 def forward(params: NetworkParams, feature: np.ndarray) -> ForwardResult:
@@ -465,11 +537,7 @@ def frame_accuracy(params: NetworkParams, windows: WindowSet) -> float:
     """Mean fraction of windows whose argmax prediction matches the label."""
     if len(windows) == 0:
         raise TrainingError("cannot score an empty window set")
-    correct = 0
-    for lo in range(0, len(windows), FORWARD_CHUNK):
-        batch = slice(lo, lo + FORWARD_CHUNK)
-        cache = forward_batch(params, windows.features[batch])
-        correct += int((cache.probs.argmax(axis=1) == windows.labels[batch]).sum())
+    correct = int((score_windows(params, windows.features).argmax(axis=1) == windows.labels).sum())
     return correct / len(windows)
 
 

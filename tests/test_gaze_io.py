@@ -11,8 +11,10 @@ from gazeflow.gaze_io import (
     DataFormatError,
     read_gaze_csv,
     read_predictions_csv,
+    write_csv,
     write_gaze_csv,
     write_history_csv,
+    write_json,
     write_predictions_csv,
     write_trace_csv,
 )
@@ -556,3 +558,35 @@ class TestReaderErrorsMatchCsvReader:
         with pytest.raises(DataFormatError, match=r"quoted\.csv:3: non-numeric coordinate$"):
             read_gaze_csv(path)
         assert oracle_read_gaze_csv(path).x_deg[1] == 0.0  # csv.reader took the quotes off
+
+
+class TestAtomicWrites:
+    def test_a_failed_write_keeps_the_earlier_file(self, tmp_path):
+        path = tmp_path / "out.csv"
+        write_csv(path, ["a", "b"], [["1", "2"], ["3", "4"]])
+        before = path.read_bytes()
+
+        def failing_column():
+            yield from map(str, range(5000))  # past the write buffer: rows reach the disk
+            raise RuntimeError("column failed")
+
+        with pytest.raises(RuntimeError, match="column failed"):
+            write_csv(path, ["a", "b"], [failing_column(), map(str, range(10_000))])
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+    def test_an_unwritable_target_is_named_in_the_error(self, tmp_path):
+        path = tmp_path / "missing" / "out.csv"
+        with pytest.raises(FileNotFoundError) as info:
+            write_csv(path, ["a"], [["1"]])
+        assert info.value.filename == str(path)
+
+    def test_writes_replace_the_file_and_leave_no_temporary(self, tmp_path):
+        plain = tmp_path / "plain"
+        plain.write_text("")
+        path = tmp_path / "report.json"
+        write_json(path, {"a": 1})
+        write_json(path, {"b": [1, 2]})
+        assert path.read_text(encoding="utf-8") == '{\n  "b": [\n    1,\n    2\n  ]\n}\n'
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["plain", "report.json"]
+        assert path.stat().st_mode == plain.stat().st_mode  # the umask's mode, as open() gives

@@ -112,3 +112,23 @@ class TestErrors:
         p.write_bytes(b"xx")
         with pytest.raises(ModelCorruptError):
             load_model(p)
+
+
+def test_save_model_replaces_the_file_atomically(tmp_path, monkeypatch):
+    import gazeflow.gaze_io as gaze_io
+
+    path = tmp_path / "m.gzn"
+    save_model(init_params(1), path)
+    save_model(init_params(2), path)
+    assert np.array_equal(load_model(path).vector, init_params(2).vector)
+    assert [p.name for p in tmp_path.iterdir()] == ["m.gzn"]
+
+    def failed_replace(src, dst):
+        raise OSError("replace failed")
+
+    # the new model is written in full, but never takes the old one's place
+    monkeypatch.setattr(gaze_io.os, "replace", failed_replace)
+    with pytest.raises(OSError, match="replace failed"):
+        save_model(init_params(3), path)
+    assert np.array_equal(load_model(path).vector, init_params(2).vector)
+    assert [p.name for p in tmp_path.iterdir()] == ["m.gzn"]

@@ -7,10 +7,14 @@ import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
+from gazeflow.detectors import cnn_detect
+from gazeflow.features import featurize_sequence
 from gazeflow.gaze import DatasetSplit, WindowSet
 from gazeflow.net import (
+    FORWARD_CHUNK,
     PHASE1_ADAM,
     PHASE2_ADAM,
+    SCORE_CHUNK,
     AdamConfig,
     AdamState,
     Gradients,
@@ -24,12 +28,15 @@ from gazeflow.net import (
     backward_batch,
     forward,
     forward_batch,
+    frame_accuracy,
     init_params,
     loss_cross_entropy,
     param_shapes,
+    score_windows,
     softmax,
     train,
 )
+from gazeflow.simulate import StimulusConfig, generate_sequence
 
 
 def zero_params(kernel_len=10, input_len=30, pool_factor=5):
@@ -625,6 +632,82 @@ class TestAgainstArrayOracle:
             adam_step(params, nan, AdamState.zeros(params), PHASE1_ADAM)
 
 
+# ---------------------------------------------------------------------------
+# the earlier scoring: one forward_batch per FORWARD_CHUNK windows, kept as the
+# oracle that the chunked scoring path must match bit for bit
+
+
+def one_pass_forward(params, feats):
+    """The earlier forward_batch's probabilities: np.take im2col, one batched conv
+    matmul and strided pooling over the whole stack, then the dense layer."""
+    B = feats.shape[0]
+    F, K = params.n_filters, params.kernel_len
+    R, P = params.n_regions, params.pool_factor
+    taps = np.arange(params.input_len - K + 1)[:, None] + np.arange(K)
+    index = (taps[:, :, None] * 2 + np.arange(2)).reshape(taps.shape[0], -1)
+    cols = np.take(feats.reshape(B, -1), index, axis=1)
+    conv = cols @ params.conv_w.reshape(F, K * 2).T + params.conv_b
+    regions = conv[:, : R * P].reshape(B, R, P, F)
+    pool = regions[:, :, 0, :].copy()
+    for j in range(1, P):
+        np.maximum(pool, regions[:, :, j, :], out=pool)
+    logits = pool.reshape(B, R * F) @ params.dense_w.T + params.dense_b
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def one_pass_scores(params, feats):
+    blocks = [one_pass_forward(params, feats[lo : lo + FORWARD_CHUNK]) for lo in range(0, len(feats), FORWARD_CHUNK)]
+    return np.concatenate(blocks)
+
+
+class TestScoringPath:
+    @pytest.mark.parametrize(
+        "n", [1, SCORE_CHUNK - 1, SCORE_CHUNK, SCORE_CHUNK + 1, 3 * SCORE_CHUNK + 1, FORWARD_CHUNK + 1]
+    )
+    def test_scores_equal_the_one_pass_forward(self, n):
+        rng = np.random.default_rng(n)
+        params = init_params(n % 11)
+        feats = np.abs(rng.normal(size=(n, 30, 2)))
+        want = one_pass_scores(params, feats)
+        assert np.array_equal(bits(score_windows(params, feats)), bits(want))
+        labels = want.argmax(axis=1)
+        labels[::3] = (labels[::3] + 1) % 3
+        windows = WindowSet(feats, labels.astype(np.int8), np.zeros(n, dtype=np.int64))
+        assert frame_accuracy(params, windows) == int((want.argmax(axis=1) == labels).sum()) / n
+
+    def test_cnn_detect_equals_the_one_pass_forward_on_a_long_recording(self):
+        seq = generate_sequence(StimulusConfig(seed=3, sequence_duration_s=42.0), 0).sequence
+        params = init_params(11)
+        centers, feats = featurize_sequence(seq)
+        assert len(feats) > 12 * SCORE_CHUNK
+        out = cnn_detect(params, seq)
+        want = one_pass_scores(params, feats)
+        assert np.array_equal(out.sample_idx, centers)
+        assert np.array_equal(bits(out.scores), bits(want))
+        assert np.array_equal(out.labels, want.argmax(axis=1))
+
+    def test_frame_accuracy_memory_does_not_grow_with_the_window_count(self):
+        # the one-pass forward held the im2col columns and conv outputs of all
+        # n windows (about 7 KB each: a 336 MB peak here); the scoring path holds
+        # those of SCORE_CHUNK windows and the pooled features of at most
+        # FORWARD_CHUNK, plus 3 probabilities a window
+        n = 50_000
+        rng = np.random.default_rng(8)
+        params = init_params(8)
+        windows = WindowSet(
+            np.abs(rng.normal(size=(n, 30, 2))), rng.integers(0, 3, n).astype(np.int8), np.zeros(n, dtype=np.int64)
+        )
+        bound = 2 * FORWARD_CHUNK * params.flat_dim * 8  # 42 MB for any n
+        tracemalloc.start()
+        try:
+            frame_accuracy(params, windows)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
+
+
 def seeded_split(n_train, n_val, seed=0):
     rng = np.random.default_rng(seed)
 
@@ -738,4 +821,5 @@ class TestTrainResources:
         split = seeded_split(130, 10)
         cfg = TrainConfig(phase1=PhaseConfig(1, PHASE1_ADAM), phase2=PhaseConfig(1, PHASE2_ADAM), seed=1)
         train(split, cfg)
-        assert seen == {"forward_batch": 8, "backward_batch": 6, "adam_step": 6, "frame_accuracy": 2}
+        # frame_accuracy scores through score_windows, not forward_batch
+        assert seen == {"forward_batch": 6, "backward_batch": 6, "adam_step": 6, "frame_accuracy": 2}
