@@ -15,14 +15,13 @@ from .gaze import (
     Prediction,
     WindowSet,
     events_from_labels,
-    split_dataset,
 )
 from .features import (
     FeatureError,
     FrontendConfig,
-    build_window_set,
     featurize_sequence,
     fft_magnitude,
+    split_dataset,
 )
 from .net import (
     AdamConfig,

@@ -11,6 +11,7 @@ import argparse
 import os
 import sys
 from dataclasses import asdict
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,7 @@ from .detectors import (
     cnn_detect,
     concat_outputs,
 )
-from .features import FeatureError, FrontendConfig, build_window_set, yields_windows
+from .features import FeatureError, FrontendConfig, split_dataset, yields_windows
 from .gaze import (
     CLASS_NAMES,
     DEFAULT_SPLIT_RATIOS,
@@ -32,7 +33,6 @@ from .gaze import (
     GazeSequence,
     LabelClass,
     events_from_labels,
-    split_dataset,
     split_units,
 )
 from .gaze_io import (
@@ -152,9 +152,9 @@ def cmd_train(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args.seed)
     cfg = _load_config(args.config, seed)
     seqs = _read_corpus(args.data_dir)
-    windows = build_window_set(seqs, cfg.frontend)
     split = split_dataset(
-        windows,
+        seqs,
+        cfg.frontend,
         DEFAULT_SPLIT_RATIOS,
         seed=seed,
         by_sequence=(cfg.split_level == "sequence"),
@@ -356,7 +356,9 @@ def cmd_trace(args: argparse.Namespace) -> int:
 # parser
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process (parse_args leaves it unchanged)."""
     parser = argparse.ArgumentParser(
         prog="gazeflow",
         description="Detect fixations, saccades and smooth pursuits in 2-D gaze streams.",

@@ -16,7 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .gaze import GazeSequence, WindowSet
+from .gaze import DEFAULT_SPLIT_RATIOS, DatasetSplit, GazeSequence, WindowSet, split_units
+
+FEATURIZE_CHUNK = 1024  # windows per copy, demean, FFT and magnitude pass
 
 
 class FeatureError(ValueError):
@@ -114,14 +116,19 @@ def window_starts(still_bad: np.ndarray, window_len: int, stride: int = 1) -> np
     return starts
 
 
+def count_windows(seq: GazeSequence, config: FrontendConfig = FrontendConfig()) -> int:
+    """Number of windows the frontend keeps of seq (see window_starts)."""
+    _, _, still_bad = repair_sequence(seq, config.interp_max_gap)
+    return int(window_starts(still_bad, config.window_len, config.stride).size)
+
+
 def yields_windows(seq: GazeSequence, config: FrontendConfig = FrontendConfig()) -> bool:
     """True when the frontend keeps at least one window of seq.
 
-    These are exactly the sequences that build_window_set turns into
-    training windows, so a split of them matches a by-sequence training split.
+    These are exactly the sequences that split_dataset turns into training
+    windows, so a split of them matches a by-sequence training split.
     """
-    _, _, still_bad = repair_sequence(seq, config.interp_max_gap)
-    return window_starts(still_bad, config.window_len, config.stride).size > 0
+    return count_windows(seq, config) > 0
 
 
 def featurize_sequence(
@@ -133,7 +140,9 @@ def featurize_sequence(
     center sample indices that received a window, features the matching
     (m, window_len, 2) stack. Windows containing unrepaired invalid samples
     are skipped (see window_starts); a window whose features overflow raises
-    FeatureError.
+    FeatureError. The windows are copied, demeaned and transformed
+    FEATURIZE_CHUNK at a time straight into the result, so the transients
+    stay those of one chunk; each row is the same whatever the chunk.
     """
     n = len(seq)
     L = config.window_len
@@ -141,50 +150,77 @@ def featurize_sequence(
         raise FeatureError(f"sequence of {n} samples is shorter than one window ({L})")
     x, y, bad = repair_sequence(seq, config.interp_max_gap)
     starts = window_starts(bad, L, config.stride)
-    if starts.size == 0:
-        return starts, np.empty((0, L, 2), dtype=np.float64)
-
-    wx = sliding_window_view(x, L)[starts].copy()
-    wy = sliding_window_view(y, L)[starts].copy()
-    with np.errstate(over="ignore", invalid="ignore"):
-        if config.demean:
-            wx -= wx.mean(axis=1, keepdims=True)
-            wy -= wy.mean(axis=1, keepdims=True)
-        feats = np.stack([np.abs(np.fft.fft(wx, axis=1)), np.abs(np.fft.fft(wy, axis=1))], axis=2)
     centers = starts + config.center_offset
-    if not np.isfinite(feats).all():
-        first = centers[np.argmin(np.isfinite(feats).all(axis=(1, 2)))]
-        raise FeatureError(
-            f"features must be finite: the window centred on sample {first} overflows (coordinates out of range)"
-        )
+    feats = np.empty((starts.size, L, 2), dtype=np.float64)
+    views = (sliding_window_view(x, L), sliding_window_view(y, L))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, starts.size, FEATURIZE_CHUNK):
+            chunk = starts[lo : lo + FEATURIZE_CHUNK]
+            block = feats[lo : lo + chunk.size]
+            for channel, view in enumerate(views):
+                w = view[chunk]  # a fancy-indexed copy
+                if config.demean:
+                    w -= w.mean(axis=1, keepdims=True)
+                np.abs(np.fft.fft(w, axis=1), out=block[:, :, channel])
+            finite = np.isfinite(block).all(axis=(1, 2))
+            if not finite.all():
+                first = centers[lo + np.argmin(finite)]
+                raise FeatureError(
+                    f"features must be finite: the window centred on sample {first} overflows (coordinates out of range)"
+                )
     return centers, feats
 
 
-def build_window_set(
-    sequences: list[GazeSequence], config: FrontendConfig = FrontendConfig()
-) -> WindowSet:
-    """Featurize labeled sequences into one WindowSet for training.
+def split_dataset(
+    sequences: list[GazeSequence],
+    config: FrontendConfig = FrontendConfig(),
+    ratios: tuple[float, float, float] = DEFAULT_SPLIT_RATIOS,
+    seed: int = 0,
+    by_sequence: bool = False,
+) -> DatasetSplit:
+    """Featurize labeled sequences into the train and validation parts of a split.
 
-    Window labels are taken from the center sample. Sequences that yield no
-    window (see yields_windows) are skipped; unlabeled sequences raise
-    FeatureError.
+    The windows every sequence keeps (count_windows) are numbered in sequence
+    order; split_units deals these window ids into train, validation and
+    test, or with by_sequence=True the ids of the sequences that keep a
+    window, so that no sequence contributes to two parts. Deterministic for
+    a fixed seed. Each sequence is then featurized once, straight into the
+    rows of its part at their exact size, in ascending window id; the test
+    windows are never featurized. Window labels are taken from the center
+    sample and groups carry the index of the source sequence. Unlabeled
+    sequences raise FeatureError, as does a set without any window.
     """
-    feats: list[np.ndarray] = []
-    labels: list[np.ndarray] = []
-    groups: list[np.ndarray] = []
     for gi, seq in enumerate(sequences):
         if seq.labels is None:
             raise FeatureError(f"sequence {seq.source_id or gi} has no labels")
-        if len(seq) < config.window_len:
-            continue
-        centers, f = featurize_sequence(seq, config)
-        if centers.size == 0:
-            continue
-        feats.append(f)
-        labels.append(seq.labels[centers])
-        groups.append(np.full(centers.shape[0], gi, dtype=np.int64))
-    if not feats:
+    counts = np.array([count_windows(seq, config) for seq in sequences], dtype=np.int64)
+    ends = np.cumsum(counts)
+    if not ends.size or ends[-1] == 0:
         raise FeatureError("no usable windows in the given sequences")
-    return WindowSet(
-        np.concatenate(feats), np.concatenate(labels), np.concatenate(groups)
-    )
+
+    units = np.flatnonzero(counts) if by_sequence else np.arange(ends[-1])
+    part = np.full(units.size, 2, dtype=np.int8)  # the part of each unit: train 0, validation 1, test 2
+    for k, ids in enumerate(split_units(units, ratios, seed)[:2]):
+        part[np.searchsorted(units, ids)] = k
+    if by_sequence:
+        part = np.repeat(part, counts[units])
+    sizes = np.bincount(part, minlength=3)
+    L = config.window_len
+    parts = [
+        WindowSet(np.empty((size, L, 2)), np.empty(size, np.int8), np.empty(size, np.int64))
+        for size in sizes[:2]
+    ]
+    filled = [0, 0]
+    for gi, seq in enumerate(sequences):
+        seq_part = part[ends[gi] - counts[gi] : ends[gi]]
+        if not (seq_part < 2).any():
+            continue
+        centers, feats = featurize_sequence(seq, config)  # looked up as a module global, so it can be wrapped
+        for k, ws in enumerate(parts):
+            rows = seq_part == k
+            lo, hi = filled[k], filled[k] + int(rows.sum())
+            np.compress(rows, feats, axis=0, out=ws.features[lo:hi])
+            ws.labels[lo:hi] = seq.labels[centers[rows]]
+            ws.groups[lo:hi] = gi
+            filled[k] = hi
+    return DatasetSplit(train=parts[0], validation=parts[1])

@@ -138,10 +138,9 @@ def events_from_labels(labels: Iterable[LabelClass] | np.ndarray) -> list[Event]
 
 @dataclass(frozen=True)
 class WindowSet:
-    """Labeled feature windows ready for training or splitting.
+    """Labeled feature windows ready for training.
 
-    groups carries the index of the source sequence per window so splits can
-    optionally keep whole sequences together.
+    groups carries the index of the source sequence of each window.
     """
 
     features: np.ndarray  # (n, window_len, 2)
@@ -163,17 +162,16 @@ class WindowSet:
     def __len__(self) -> int:
         return self.features.shape[0]
 
-    def subset(self, idx: np.ndarray) -> "WindowSet":
-        return WindowSet(self.features[idx], self.labels[idx], self.groups[idx])
-
 
 @dataclass(frozen=True)
 class DatasetSplit:
-    """Train/validation/test partition of a WindowSet."""
+    """The train and validation windows of a split (features.split_dataset).
+
+    The test part is never featurized: it is held out by split_units alone.
+    """
 
     train: WindowSet
     validation: WindowSet
-    test: WindowSet
 
 
 DEFAULT_SPLIT_RATIOS = (0.75, 0.125, 0.125)
@@ -196,35 +194,3 @@ def split_units(
     n_val = int(np.floor(n * ratios[1]))
     n_test = int(np.floor(n * ratios[2]))
     return perm[n_val + n_test :], perm[:n_val], perm[n_val : n_val + n_test]
-
-
-def split_dataset(
-    windows: WindowSet,
-    ratios: tuple[float, float, float] = DEFAULT_SPLIT_RATIOS,
-    seed: int = 0,
-    by_sequence: bool = False,
-) -> DatasetSplit:
-    """Randomly partition windows into train/validation/test parts.
-
-    Validation and test receive floor(n * ratio) items each; the remainder
-    goes to train. Deterministic for a fixed seed. With by_sequence=True the
-    partition operates on source-sequence groups instead of single windows,
-    so no sequence contributes to two parts.
-    """
-    if len(windows) == 0:
-        raise GazeDataError("cannot split an empty window set")
-    units = np.unique(windows.groups) if by_sequence else np.arange(len(windows))
-    train_units, val_units, test_units = split_units(units, ratios, seed)
-
-    if by_sequence:
-        def pick(unit_ids: np.ndarray) -> np.ndarray:
-            return np.flatnonzero(np.isin(windows.groups, unit_ids))
-    else:
-        def pick(unit_ids: np.ndarray) -> np.ndarray:
-            return np.sort(unit_ids)
-
-    return DatasetSplit(
-        train=windows.subset(pick(train_units)),
-        validation=windows.subset(pick(val_units)),
-        test=windows.subset(pick(test_units)),
-    )

@@ -19,7 +19,7 @@ import json
 import os
 import secrets
 from contextlib import contextmanager
-from itertools import compress, repeat
+from itertools import compress, islice, repeat
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, Sequence
 
@@ -32,6 +32,7 @@ GAZE_HEADER = ["t_ms", "x_deg", "y_deg", "valid", "label"]
 PRED_HEADER = ["sample_idx", "p_fix", "p_sac", "p_pur", "label", "covered"]
 TRACE_HEADER = ["t_ms", "x_deg", "y_deg", "p_fix", "p_sac", "p_pur", "truth", "pred"]
 HISTORY_HEADER = ["phase", "epoch", "train_loss", "val_accuracy"]
+CSV_BLOCK_ROWS = 4096  # rows joined into one string per write
 
 
 class DataFormatError(ValueError):
@@ -75,24 +76,31 @@ def atomic_open(path: str | Path, mode: str = "w", **kwargs) -> Iterator[IO]:
 def write_csv(path: str | Path, header: Sequence[str], columns: Sequence[Iterable[str]]) -> None:
     """Write equal-length columns of already-formatted fields as CSV rows.
 
-    The columns are read one row at a time, so they may be iterators that
-    format each field on demand. Rows end in CRLF, as csv.writer ends them.
-    Fields are written as given, so none may hold a comma, a quote or a
-    line break. The file is replaced atomically (atomic_open).
+    The columns are read CSV_BLOCK_ROWS rows at a time, so they may be
+    iterators that format each field on demand. Rows end in CRLF, as
+    csv.writer ends them. Fields are written as given, so none may hold a
+    comma, a quote or a line break; a field may join several columns' fields
+    with commas. The file is replaced atomically (atomic_open).
     """
+    rows = map(",".join, zip(*columns, strict=True))
     with atomic_open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\r\n")
-        fh.writelines(",".join(row) + "\r\n" for row in zip(*columns, strict=True))
+        while block := list(islice(rows, CSV_BLOCK_ROWS)):
+            block.append("")  # the line end of the block's last row
+            fh.write("\r\n".join(block))
 
 
-def _covered_columns(preds: DetectorOutput) -> list[Iterator[str]]:
-    """p_fix, p_sac, p_pur and label fields of every sample; empty where uncovered."""
-    covered = preds.covered.tolist()
+def _covered_columns(preds: DetectorOutput) -> tuple[list[str], list[str]]:
+    """The "p_fix,p_sac,p_pur" and the label field of every sample; empty where uncovered."""
 
-    def column(fields: Iterator[str]) -> Iterator[str]:
-        return (next(fields) if c else "" for c in covered)  # sample_idx is increasing
+    def scatter(fields: Iterable[str], empty: str) -> list[str]:
+        column = [empty] * preds.n_samples
+        for i, field in zip(preds.sample_idx.tolist(), fields):
+            column[i] = field
+        return column
 
-    return [column(f) for f in (*map(float_fields, preds.scores.T), int_fields(preds.labels))]
+    scores = map(",".join, zip(*map(float_fields, preds.scores.T)))
+    return scatter(scores, ",,"), scatter(int_fields(preds.labels), "")
 
 
 def _label_column(seq: GazeSequence) -> Iterable[str]:
@@ -211,8 +219,8 @@ def read_predictions_csv(path: str | Path) -> DetectorOutput:
 def write_trace_csv(seq: GazeSequence, preds: DetectorOutput, path: str | Path) -> None:
     """Long-format per-sample activation trace for external plotting."""
     coords = map(float_fields, (seq.t_ms, seq.x_deg, seq.y_deg))
-    *scores, pred = _covered_columns(preds)
-    write_csv(path, TRACE_HEADER, [*coords, *scores, _label_column(seq), pred])
+    scores, pred = _covered_columns(preds)
+    write_csv(path, TRACE_HEADER, [*coords, scores, _label_column(seq), pred])
 
 
 def write_json(path: str | Path, obj) -> None:

@@ -23,7 +23,7 @@ derivatives of the cross-entropy loss.
 
 Scoring many windows (frame_accuracy after every epoch, cnn_detect on a
 recording) goes through score_windows. It runs im2col, convolution and
-pooling SCORE_CHUNK (1,024) windows at a time and stacks the pooled
+pooling SCORE_CHUNK (256) windows at a time and stacks the pooled
 features of up to FORWARD_CHUNK (65,536) windows for the dense layer and
 softmax. BLAS picks its kernel, and so its rounding, by a product's shape.
 A row of the conv GEMM comes out the same whatever the row count, but the
@@ -51,7 +51,7 @@ PROB_FLOOR = 1e-12
 N_FILTERS = 10
 N_CHANNELS = 2
 FORWARD_CHUNK = 65536  # windows per dense-layer product when scoring many windows
-SCORE_CHUNK = 1024  # windows per im2col, conv and pool pass when scoring
+SCORE_CHUNK = 256  # windows per im2col, conv and pool pass when scoring
 
 _PARAM_FIELDS = ("conv_w", "conv_b", "dense_w", "dense_b")
 

@@ -18,12 +18,11 @@ from gazeflow.detectors import (
     concat_outputs,
     ivt_idt_detect,
 )
-from gazeflow.features import build_window_set, fft_magnitude
+from gazeflow.features import FrontendConfig, fft_magnitude, split_dataset
 from gazeflow.gaze import (
     DEFAULT_SPLIT_RATIOS,
     LabelClass,
     events_from_labels,
-    split_dataset,
     split_units,
 )
 from gazeflow.metrics import (
@@ -328,8 +327,7 @@ def test_noiseless_compare_gate(noiseless_corpus):
     # scaled companion to criterion 6: with a briefly trained network, all
     # five detectors reach mean ROC area >= 0.99 on noiseless data
     seqs = noiseless_corpus
-    windows = build_window_set(seqs)
-    split = split_dataset(windows, seed=ACCEPT_SEED, by_sequence=True)
+    split = split_dataset(seqs, seed=ACCEPT_SEED, by_sequence=True)
     hot = AdamConfig(alpha=0.005, beta1=0.9, beta2=0.99, epsilon=1e-8)
     params, _ = train(
         split,
@@ -364,8 +362,7 @@ def learning_pipeline(tmp_path_factory):
     cfg = StimulusConfig(seed=ACCEPT_SEED, sequence_duration_s=7.0)
     traces = generate_corpus(cfg, 48)
     seqs = [t.sequence for t in traces]
-    windows = build_window_set(seqs)
-    split = split_dataset(windows, DEFAULT_SPLIT_RATIOS, seed=ACCEPT_SEED, by_sequence=True)
+    split = split_dataset(seqs, FrontendConfig(), DEFAULT_SPLIT_RATIOS, seed=ACCEPT_SEED, by_sequence=True)
 
     params, history = train(split, TrainConfig(seed=ACCEPT_SEED))
 

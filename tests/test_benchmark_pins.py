@@ -7,12 +7,15 @@ block. A name that is gone fails every traced benchmark run, so this test
 enters that block from the unedited file.
 """
 import importlib.util
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from gazeflow import cli, detectors, net
-from gazeflow.gaze import DatasetSplit, WindowSet
+from gazeflow import cli, detectors, features, net
+from gazeflow.gaze import DEFAULT_SPLIT_RATIOS, DatasetSplit, WindowSet
+from gazeflow.gaze_io import write_gaze_csv
+from gazeflow.simulate import StimulusConfig, generate_corpus
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -30,7 +33,7 @@ def small_split():
     def part(n):
         return WindowSet(np.abs(rng.normal(size=(n, 30, 2))), rng.integers(0, 3, n).astype(np.int8), np.zeros(n, dtype=np.int64))
 
-    return DatasetSplit(train=part(130), validation=part(10), test=part(1))
+    return DatasetSplit(train=part(130), validation=part(10))
 
 
 def test_patched_finds_every_traced_name_and_train_calls_the_wrapped_steps():
@@ -49,3 +52,33 @@ def test_patched_finds_every_traced_name_and_train_calls_the_wrapped_steps():
     # every name is put back
     assert {name: getattr(net, name) for name in originals} == originals
     assert detectors.forward_batch is detectors_forward
+
+
+def test_train_reaches_the_traced_split_and_featurize_through_module_globals(tmp_path):
+    # the traced split span and the windows-kept and windows-skipped counters
+    # wrap cli.split_dataset and features.featurize_sequence
+    tracing = load_tracing()
+    seqs = [t.sequence for t in generate_corpus(StimulusConfig(seed=4, sequence_duration_s=2.0), 8)]
+    lost = np.zeros(len(seqs[0]), bool)
+    lost[300:400] = True  # a loss longer than the repair limit: skipped windows
+    seqs[0] = replace(seqs[0], x_deg=np.where(lost, np.nan, seqs[0].x_deg), valid=seqs[0].valid & ~lost)
+    data = tmp_path / "data"
+    data.mkdir()
+    for k, seq in enumerate(seqs):
+        write_gaze_csv(seq, data / f"seq-{k:04d}.csv")
+    cfg = tmp_path / "train.ini"
+    cfg.write_text("[training]\nsplit_level = sequence\nphase1_epochs = 1\nphase2_epochs = 0\n")
+    split = features.split_dataset(seqs, features.FrontendConfig(), DEFAULT_SPLIT_RATIOS, seed=3, by_sequence=True)
+    featurize = features.featurize_sequence
+    tracer = tracing.Tracer()
+    with tracing.patched(tracer):
+        code = cli.main(["train", "--data-dir", str(data), "--config", str(cfg), "--out", str(tmp_path / "m.gznn"), "--seed", "3"])
+    assert code == 0
+    assert tracer.durations("gaze.split_dataset").size == 1
+    groups = np.unique(np.concatenate([split.train.groups, split.validation.groups]))
+    assert groups.tolist() == [0, 1, 2, 3, 4, 5, 6]  # recording 7 is the test part: never featurized
+    assert tracer.durations("features.featurize_sequence", "gaze.split_dataset").size == 7
+    kept = tracer.counts["features.featurize_sequence.windows_kept"]
+    assert kept == len(split.train) + len(split.validation)
+    assert tracer.counts["features.featurize_sequence.windows_skipped"] == 100 + 29  # windows over the loss
+    assert features.featurize_sequence is featurize and cli.split_dataset is features.split_dataset

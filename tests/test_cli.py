@@ -12,7 +12,8 @@ import pytest
 import gazeflow.cli as cli
 from gazeflow.cli import main
 from gazeflow.detectors import BASELINE_DETECTORS, DetectorOutput, cnn_detect
-from gazeflow.gaze import CLASS_NAMES, GazeSequence, LabelClass, events_from_labels, split_dataset
+from gazeflow.features import split_dataset
+from gazeflow.gaze import CLASS_NAMES, GazeSequence, LabelClass, events_from_labels
 from gazeflow.gaze_io import read_gaze_csv, read_manifest, read_predictions_csv, write_gaze_csv
 from gazeflow.metrics import (
     confidence_accuracy,
@@ -473,8 +474,8 @@ class TestCompare:
 
         trained, tested = set(), set()
 
-        def spy_split(windows, *args, **kwargs):
-            split = split_dataset(windows, *args, **kwargs)
+        def spy_split(seqs, *args, **kwargs):
+            split = split_dataset(seqs, *args, **kwargs)
             trained.update(paths[g].stem for g in np.unique(split.train.groups))
             return split
 

@@ -1,17 +1,25 @@
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
+from gazeflow import features
 from gazeflow.features import (
+    FEATURIZE_CHUNK,
     FeatureError,
     FrontendConfig,
-    build_window_set,
+    count_windows,
     featurize_sequence,
     fft_magnitude,
     repair_sequence,
+    split_dataset,
     window_starts,
     yields_windows,
 )
-from gazeflow.gaze import GazeSequence
+from gazeflow.gaze import DEFAULT_SPLIT_RATIOS, GazeDataError, GazeSequence, WindowSet, split_units
+from gazeflow.simulate import StimulusConfig, generate_corpus, generate_sequence
 
 
 def naive_dft_magnitude(signal):
@@ -198,9 +206,11 @@ class TestYieldsWindows:
             make_seq(np.where(gappy, 0.0, np.nan), valid=gappy, labels=labels),
             make_seq(np.full(60, np.nan), valid=np.zeros(60, bool), labels=labels),
         ]
-        kept = np.unique(build_window_set(seqs).groups)
+        groups = oracle_build_window_set(seqs).groups
+        kept = np.unique(groups)
         assert kept.tolist() == [0, 3]
         assert [i for i, s in enumerate(seqs) if yields_windows(s)] == kept.tolist()
+        assert [count_windows(s) for s in seqs] == np.bincount(groups, minlength=5).tolist()
 
 
 class TestWindowStarts:
@@ -234,3 +244,179 @@ class TestRepairSequence:
         seq = make_seq(x, valid=valid)
         _, _, bad = repair_sequence(seq, max_gap=2)
         assert bad.tolist() == [False, True, True, True, False]
+
+
+# ---------------------------------------------------------------------------
+# The whole-recording frontend and the two-step split that featurize_sequence
+# and split_dataset replaced, kept as oracles.
+
+
+def oracle_featurize_sequence(seq, config=FrontendConfig()):
+    """Every window at once: copies, demean, FFT and magnitude over the whole stack."""
+    L = config.window_len
+    x, y, bad = repair_sequence(seq, config.interp_max_gap)
+    starts = window_starts(bad, L, config.stride)
+    if starts.size == 0:
+        return starts, np.empty((0, L, 2), dtype=np.float64)
+    wx = sliding_window_view(x, L)[starts].copy()
+    wy = sliding_window_view(y, L)[starts].copy()
+    if config.demean:
+        wx -= wx.mean(axis=1, keepdims=True)
+        wy -= wy.mean(axis=1, keepdims=True)
+    feats = np.stack([np.abs(np.fft.fft(wx, axis=1)), np.abs(np.fft.fft(wy, axis=1))], axis=2)
+    return starts + config.center_offset, feats
+
+
+def oracle_build_window_set(sequences, config=FrontendConfig()):
+    """Every window of every labeled sequence, concatenated in sequence order."""
+    feats, labels, groups = [], [], []
+    for gi, seq in enumerate(sequences):
+        if len(seq) < config.window_len:
+            continue
+        centers, f = oracle_featurize_sequence(seq, config)
+        if centers.size == 0:
+            continue
+        feats.append(f)
+        labels.append(seq.labels[centers])
+        groups.append(np.full(centers.shape[0], gi, dtype=np.int64))
+    return WindowSet(np.concatenate(feats), np.concatenate(labels), np.concatenate(groups))
+
+
+def oracle_split_dataset(windows, ratios=DEFAULT_SPLIT_RATIOS, seed=0, by_sequence=False):
+    """(train, validation, test) fancy-indexed out of the whole window set."""
+    units = np.unique(windows.groups) if by_sequence else np.arange(len(windows))
+
+    def pick(unit_ids):
+        idx = np.flatnonzero(np.isin(windows.groups, unit_ids)) if by_sequence else np.sort(unit_ids)
+        return WindowSet(windows.features[idx], windows.labels[idx], windows.groups[idx])
+
+    return tuple(pick(ids) for ids in split_units(units, ratios, seed))
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint8)
+
+
+def assert_same_windows(got, want):
+    for name in ("features", "labels", "groups"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert np.array_equal(bits(a), bits(b)), name
+
+
+def with_tracking_loss(seq, seed):
+    """seq with 1-3 sample dropouts (repaired) and one blink-length loss (not)."""
+    rng = np.random.default_rng(seed)
+    lost = np.zeros(len(seq), bool)
+    for s in rng.choice(np.arange(40, len(seq) - 40, 8), size=8, replace=False):
+        lost[s : s + rng.integers(1, 4)] = True
+    blink = int(rng.integers(40, len(seq) - 120))
+    lost[blink : blink + int(rng.integers(45, 105))] = True
+    return replace(
+        seq,
+        x_deg=np.where(lost, np.nan, seq.x_deg),
+        y_deg=np.where(lost, np.nan, seq.y_deg),
+        valid=seq.valid & ~lost,
+    )
+
+
+def small_corpus(n=12, duration_s=2.0, seed=11):
+    return [t.sequence for t in generate_corpus(StimulusConfig(seed=seed, sequence_duration_s=duration_s), n)]
+
+
+def corpus_without_windows_in(seqs, k):
+    dead = replace(seqs[k], valid=np.zeros(len(seqs[k]), bool))
+    return [*seqs[:k], dead, *seqs[k + 1 :]]
+
+
+SPLIT_CORPORA = {
+    "clean": lambda: small_corpus(),
+    "gappy": lambda: [with_tracking_loss(s, k) for k, s in enumerate(small_corpus())],
+    "no-window": lambda: corpus_without_windows_in(small_corpus(), 4),
+}
+SPLIT_CONFIGS = {"default": FrontendConfig(), "stride-3": FrontendConfig(stride=3, center_offset=4)}
+
+
+class TestSplitDatasetAgainstOracle:
+    @pytest.mark.parametrize("config", sorted(SPLIT_CONFIGS))
+    @pytest.mark.parametrize("corpus", sorted(SPLIT_CORPORA))
+    @pytest.mark.parametrize("by_sequence", [True, False], ids=["sequence", "window"])
+    def test_parts_equal_the_two_step_split_bit_for_bit(self, corpus, config, by_sequence):
+        seqs, cfg = SPLIT_CORPORA[corpus](), SPLIT_CONFIGS[config]
+        for seed in (7, 3):
+            split = split_dataset(seqs, cfg, DEFAULT_SPLIT_RATIOS, seed=seed, by_sequence=by_sequence)
+            train, validation, test = oracle_split_dataset(
+                oracle_build_window_set(seqs, cfg), DEFAULT_SPLIT_RATIOS, seed, by_sequence
+            )
+            assert_same_windows(split.train, train)
+            assert_same_windows(split.validation, validation)
+            assert len(test) > 0
+
+    def test_test_recordings_are_never_featurized(self, monkeypatch):
+        seqs = corpus_without_windows_in(small_corpus(), 4)
+        featurized = []
+
+        def spy(seq, config):
+            featurized.append(seq.source_id)
+            return featurize_sequence(seq, config)
+
+        monkeypatch.setattr(features, "featurize_sequence", spy)
+        split = split_dataset(seqs, seed=7, by_sequence=True)
+        kept = [seqs[g].source_id for g in np.unique(np.concatenate([split.train.groups, split.validation.groups]))]
+        assert featurized == kept
+        assert 0 < len(kept) < len(seqs) - 1  # the dead recording and the test part are left out
+
+    def test_unlabeled_sequence_rejected(self):
+        seqs = small_corpus(n=3)
+        with pytest.raises(FeatureError, match="has no labels"):
+            split_dataset([*seqs, replace(seqs[0], labels=None)])
+
+    def test_bad_ratios_rejected(self):
+        with pytest.raises(GazeDataError):
+            split_dataset(small_corpus(n=3), ratios=(0.5, 0.5, 0.5))
+
+
+class TestChunkedFeaturize:
+    @pytest.mark.parametrize("stride", [1, 3])
+    def test_rows_equal_the_whole_recording_transform(self, stride):
+        seq = with_tracking_loss(generate_sequence(StimulusConfig(seed=3, sequence_duration_s=12.0), 0).sequence, 1)
+        cfg = FrontendConfig(stride=stride)
+        centers, feats = featurize_sequence(seq, cfg)
+        want_centers, want = oracle_featurize_sequence(seq, cfg)
+        assert feats.shape[0] > 2 * FEATURIZE_CHUNK // stride
+        assert np.array_equal(centers, want_centers)
+        assert np.array_equal(bits(feats), bits(want))
+
+    def test_overflow_names_the_first_window_past_the_first_chunk(self):
+        x = np.zeros(FEATURIZE_CHUNK + 200)
+        x[FEATURIZE_CHUNK + 100 :] = 1e308
+        # the first window that holds two samples of 1e308 (their sum overflows)
+        # ends at sample CHUNK + 101, so it starts at CHUNK + 72 and is centred on CHUNK + 87
+        with pytest.raises(FeatureError, match=f"centred on sample {FEATURIZE_CHUNK + 87} overflows"):
+            featurize_sequence(make_seq(x))
+
+
+class TestMemory:
+    def test_featurize_peaks_under_one_and_a_half_outputs(self):
+        seq = generate_sequence(StimulusConfig(seed=3, sequence_duration_s=42.0), 0).sequence
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            _, feats = featurize_sequence(seq)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * feats.nbytes
+
+    @pytest.mark.parametrize("by_sequence", [True, False], ids=["sequence", "window"])
+    def test_split_holds_its_two_parts_and_little_else(self, by_sequence):
+        seqs = small_corpus(n=48, duration_s=7.0, seed=7)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            split = split_dataset(seqs, seed=7, by_sequence=by_sequence)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        parts = sum(a.nbytes for ws in (split.train, split.validation) for a in (ws.features, ws.labels, ws.groups))
+        assert peak <= parts + 8 * 2**20

@@ -1,15 +1,14 @@
 import numpy as np
 import pytest
 
+from gazeflow.features import FeatureError, featurize_sequence, split_dataset
 from gazeflow.gaze import (
     Event,
     GazeDataError,
     GazeSequence,
     LabelClass,
     Prediction,
-    WindowSet,
     events_from_labels,
-    split_dataset,
 )
 
 F, S, P = LabelClass.FIXATION, LabelClass.SACCADE, LabelClass.PURSUIT
@@ -121,50 +120,65 @@ class TestGazeSequence:
         assert seq.labels.dtype == np.int8 and seq.labels.tolist() == [2, 1, 0]
 
 
-def _window_set(n, seed=0):
+def _sequences(window_counts, seed=0):
+    """Labeled random-walk recordings that keep the given numbers of windows."""
     rng = np.random.default_rng(seed)
-    return WindowSet(
-        features=np.abs(rng.normal(size=(n, 30, 2))),
-        labels=rng.integers(0, 3, n).astype(np.int8),
-        groups=rng.integers(0, 8, n),
-    )
+    seqs = []
+    for m in window_counts:
+        n = m + 29  # m starts of a default 30-sample window
+        seqs.append(
+            GazeSequence(
+                np.arange(n) * (1000.0 / 300.0),
+                np.cumsum(rng.normal(size=n)),
+                np.cumsum(rng.normal(size=n)),
+                np.ones(n, bool),
+                rng.integers(0, 3, n),
+            )
+        )
+    return seqs
 
 
 class TestSplitDataset:
     def test_exact_sizes_small(self):
-        split = split_dataset(_window_set(8), seed=1)
-        assert (len(split.train), len(split.validation), len(split.test)) == (6, 1, 1)
+        split = split_dataset(_sequences([8]), seed=1)
+        assert (len(split.train), len(split.validation)) == (6, 1)
+        assert 8 - len(split.train) - len(split.validation) == 1  # the held-out test window
 
     def test_sizes_and_partition_1000(self):
-        ws = _window_set(1000)
-        split = split_dataset(ws, seed=3)
-        assert (len(split.train), len(split.validation), len(split.test)) == (750, 125, 125)
-        # disjoint union oracle: membership via feature fingerprints
-        key = ws.features[:, 0, 0]
-        seen = np.concatenate(
-            [split.train.features[:, 0, 0], split.validation.features[:, 0, 0], split.test.features[:, 0, 0]]
-        )
-        assert np.array_equal(np.sort(seen), np.sort(key))
+        seqs = _sequences([250, 250, 250, 250], seed=3)
+        split = split_dataset(seqs, seed=3)
+        assert (len(split.train), len(split.validation)) == (750, 125)
+        # disjoint union oracle: membership via feature fingerprints (first harmonic)
+        key = np.concatenate([featurize_sequence(s)[1][:, 1, 0] for s in seqs])
+        seen = np.concatenate([split.train.features[:, 1, 0], split.validation.features[:, 1, 0]])
+        assert np.unique(key).size == 1000
+        assert np.unique(seen).size == 875 and np.isin(seen, key).all()
+        assert np.setdiff1d(key, seen).size == 125  # the held-out test windows
 
     def test_deterministic(self):
-        ws = _window_set(100)
-        a = split_dataset(ws, seed=42)
-        b = split_dataset(ws, seed=42)
+        seqs = _sequences([40, 30, 30])
+        a = split_dataset(seqs, seed=42)
+        b = split_dataset(seqs, seed=42)
         assert np.array_equal(a.train.features, b.train.features)
-        assert np.array_equal(a.test.labels, b.test.labels)
+        assert np.array_equal(a.validation.labels, b.validation.labels)
+        assert np.array_equal(a.validation.groups, b.validation.groups)
 
     def test_by_sequence_keeps_groups_whole(self):
-        ws = _window_set(400, seed=5)
-        split = split_dataset(ws, seed=9, by_sequence=True)
-        parts = [set(np.unique(p.groups)) for p in (split.train, split.validation, split.test)]
-        assert parts[0] | parts[1] | parts[2] == set(np.unique(ws.groups))
-        assert not (parts[0] & parts[1]) and not (parts[0] & parts[2]) and not (parts[1] & parts[2])
-        assert len(split.train) + len(split.validation) + len(split.test) == 400
+        counts = [10, 20, 30, 40, 50, 60, 70, 120]
+        split = split_dataset(_sequences(counts, seed=5), seed=9, by_sequence=True)
+        parts = [set(np.unique(p.groups).tolist()) for p in (split.train, split.validation)]
+        held_out = set(range(len(counts))) - parts[0] - parts[1]
+        assert held_out and not (parts[0] & parts[1])
+        for part, ws in zip(parts, (split.train, split.validation)):
+            assert len(ws) == sum(counts[g] for g in part)  # whole recordings only
+        assert len(split.train) + len(split.validation) + sum(counts[g] for g in held_out) == 400
 
     def test_empty_rejected(self):
-        with pytest.raises(GazeDataError):
-            split_dataset(_window_set(0))
+        with pytest.raises(FeatureError):
+            split_dataset([])
+        with pytest.raises(FeatureError):
+            split_dataset(_sequences([0, 0]))  # 29 samples: shorter than one window
 
     def test_bad_ratios(self):
         with pytest.raises(GazeDataError):
-            split_dataset(_window_set(10), ratios=(0.5, 0.2, 0.2))
+            split_dataset(_sequences([10]), ratios=(0.5, 0.2, 0.2))

@@ -390,7 +390,7 @@ def toy_separable_split(n=20, seed=0):
         feats[i, 30 - bin_, 0] = feats[i, bin_, 0]
         feats[i] += np.abs(rng.normal(0, 0.05, (30, 2)))
     ws = WindowSet(feats, labels.astype(np.int8), np.zeros(n, dtype=np.int64))
-    return DatasetSplit(train=ws, validation=ws, test=ws)
+    return DatasetSplit(train=ws, validation=ws)
 
 
 class TestTrain:
@@ -444,7 +444,7 @@ class TestTrain:
             np.empty((0, 30, 2)), np.empty(0, dtype=np.int8), np.empty(0, dtype=np.int64)
         )
         with pytest.raises(TrainingError):
-            train(DatasetSplit(train=ws, validation=empty, test=empty))
+            train(DatasetSplit(train=ws, validation=empty))
 
 
 # ---------------------------------------------------------------------------
@@ -718,7 +718,7 @@ def seeded_split(n_train, n_val, seed=0):
             np.zeros(n, dtype=np.int64),
         )
 
-    return DatasetSplit(train=part(n_train), validation=part(n_val), test=part(1))
+    return DatasetSplit(train=part(n_train), validation=part(n_val))
 
 
 def noisy_split(n_train, n_val, seed=0):
@@ -730,7 +730,7 @@ def noisy_split(n_train, n_val, seed=0):
         feats = rng.normal(size=(n, 30, 2)) + 0.3 * labels[:, None, None] * np.array([1.0, -1.0])
         return WindowSet(feats, labels.astype(np.int8), np.zeros(n, dtype=np.int64))
 
-    return DatasetSplit(train=part(n_train), validation=part(n_val), test=part(1))
+    return DatasetSplit(train=part(n_train), validation=part(n_val))
 
 
 def train_digest(params, history):
