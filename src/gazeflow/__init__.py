@@ -12,7 +12,6 @@ from .gaze import (
     GazeDataError,
     GazeSequence,
     LabelClass,
-    Prediction,
     WindowSet,
     events_from_labels,
 )
@@ -20,7 +19,6 @@ from .features import (
     FeatureError,
     FrontendConfig,
     featurize_sequence,
-    fft_magnitude,
     split_dataset,
 )
 from .net import (
@@ -34,8 +32,6 @@ from .net import (
     TrainHistory,
     TrainingError,
     adam_step,
-    backward,
-    forward,
     init_params,
     loss_cross_entropy,
     train,

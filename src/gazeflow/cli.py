@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 2 usage or configuration error, 3 data error
 (missing or unlabeled input), 4 file-format or alignment error. Every
-command is deterministic given its seed; --seed falls back to the
-GAZEFLOW_SEED environment variable, then to 0.
+command is deterministic given its seed, a non-negative integer; --seed
+falls back to the GAZEFLOW_SEED environment variable, then to 0.
 """
 from __future__ import annotations
 
@@ -25,7 +25,7 @@ from .detectors import (
     cnn_detect,
     concat_outputs,
 )
-from .features import FeatureError, FrontendConfig, split_dataset, yields_windows
+from .features import FeatureError, FrontendConfig, count_windows, split_dataset
 from .gaze import (
     CLASS_NAMES,
     DEFAULT_SPLIT_RATIOS,
@@ -76,15 +76,18 @@ class CliError(Exception):
 
 
 def _resolve_seed(value: int | None) -> int:
-    if value is not None:
-        return value
-    env = os.environ.get("GAZEFLOW_SEED")
-    if env is not None:
+    name = "--seed"
+    if value is None:
+        name, env = "GAZEFLOW_SEED", os.environ.get("GAZEFLOW_SEED")
+        if env is None:
+            return 0
         try:
-            return int(env)
+            value = int(env)
         except ValueError:
             raise CliError(EXIT_USAGE, f"GAZEFLOW_SEED must be an integer, got {env!r}") from None
-    return 0
+    if value < 0:
+        raise CliError(EXIT_USAGE, f"{name} must be a non-negative integer, got {value}")
+    return value
 
 
 def _load_config(path: str | None, seed: int) -> RunConfig:
@@ -281,7 +284,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     model = _load_model(args.model, cfg.frontend)
     seqs = _read_corpus(args.data_dir)
     # split the recordings a by-sequence `train` splits: those that yield a window
-    units = np.flatnonzero([yields_windows(s, cfg.frontend) for s in seqs])
+    units = np.flatnonzero([count_windows(s, cfg.frontend) > 0 for s in seqs])
     if units.size < 3:
         raise CliError(EXIT_DATA, "compare needs at least 3 sequences with a usable window to split")
 

@@ -52,20 +52,6 @@ class FrontendConfig:
             raise FeatureError("interp_max_gap must be >= 0")
 
 
-def fft_magnitude(signal: np.ndarray) -> np.ndarray:
-    """Magnitude of the unnormalized forward DFT of a real signal.
-
-    output[k] = |sum_n signal[n] * exp(-2j*pi*k*n/N)|; conjugate symmetry
-    makes output[k] == output[N-k] for real inputs.
-    """
-    x = np.asarray(signal, dtype=np.float64)
-    if x.ndim != 1:
-        raise FeatureError("signal must be a one-dimensional vector")
-    if not np.isfinite(x).all():
-        raise FeatureError("signal must be finite")
-    return np.abs(np.fft.fft(x))
-
-
 def repair_sequence(seq: GazeSequence, max_gap: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Fill short invalid runs by linear interpolation over time.
 
@@ -120,15 +106,6 @@ def count_windows(seq: GazeSequence, config: FrontendConfig = FrontendConfig()) 
     """Number of windows the frontend keeps of seq (see window_starts)."""
     _, _, still_bad = repair_sequence(seq, config.interp_max_gap)
     return int(window_starts(still_bad, config.window_len, config.stride).size)
-
-
-def yields_windows(seq: GazeSequence, config: FrontendConfig = FrontendConfig()) -> bool:
-    """True when the frontend keeps at least one window of seq.
-
-    These are exactly the sequences that split_dataset turns into training
-    windows, so a split of them matches a by-sequence training split.
-    """
-    return count_windows(seq, config) > 0
 
 
 def featurize_sequence(

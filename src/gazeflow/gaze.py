@@ -96,28 +96,6 @@ class Event:
         return self.end_idx - self.start_idx + 1
 
 
-@dataclass(frozen=True)
-class Prediction:
-    """Per-sample class probability triple; components sum to one."""
-
-    probs: np.ndarray
-
-    def __post_init__(self):
-        p = np.asarray(self.probs, dtype=np.float64)
-        if p.shape != (N_CLASSES,):
-            raise GazeDataError("prediction must hold exactly three probabilities")
-        if not np.isfinite(p).all() or (p < 0).any() or (p > 1).any():
-            raise GazeDataError("probabilities must lie in [0, 1]")
-        if abs(float(p.sum()) - 1.0) > 1e-9:
-            raise GazeDataError("probabilities must sum to 1 within 1e-9")
-        p.setflags(write=False)
-        object.__setattr__(self, "probs", p)
-
-    @property
-    def label(self) -> LabelClass:
-        return LabelClass(int(np.argmax(self.probs)))
-
-
 def events_from_labels(labels: Iterable[LabelClass] | np.ndarray) -> list[Event]:
     """Run-length encode a label sequence into events.
 

@@ -9,7 +9,7 @@ whole columns at once and report the error on the lowest row.
 Gaze CSV: header `t_ms,x_deg,y_deg,valid,label`, one record per line,
 decimal point, valid as 0/1, label empty or a class code 0/1/2.
 
-Prediction CSV: header `sample_idx,p_fix,p_sac,p_pur,label,covered`, one
+Predictions CSV: header `sample_idx,p_fix,p_sac,p_pur,label,covered`, one
 row per sample of the source sequence; uncovered rows leave the score and
 label fields empty and set covered to 0.
 """

@@ -17,9 +17,11 @@ operations, and _like is the one way a step's result vector becomes a new
 weight object of the same geometry without a copy. The convolution unfolds
 each batch into im2col columns with one strided copy, so memory grows with
 the batch and not with the training set.
-Forward/backward are pure functions of immutable parameters, training is
-bit-deterministic for a fixed seed, and gradients are the exact analytic
-derivatives of the cross-entropy loss.
+There is one path per computation: forward_batch and backward_batch over a
+window stack (a single window is a stack of one), and loss_cross_entropy,
+the batch-mean loss that train minimizes and backward_batch differentiates
+exactly. They are pure functions of immutable parameters, and training is
+bit-deterministic for a fixed seed.
 
 Scoring many windows (frame_accuracy after every epoch, cnn_detect on a
 recording) goes through score_windows. It runs im2col, convolution and
@@ -45,7 +47,7 @@ from typing import Iterable
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .gaze import DatasetSplit, N_CLASSES, Prediction, WindowSet
+from .gaze import DatasetSplit, N_CLASSES, WindowSet
 
 PROB_FLOOR = 1e-12
 N_FILTERS = 10
@@ -318,13 +320,6 @@ class ForwardCache:
     params_ref: NetworkParams
 
 
-@dataclass(frozen=True)
-class ForwardResult:
-    logits: np.ndarray
-    probs: Prediction
-    cache: ForwardCache
-
-
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Numerically stable softmax along the last axis."""
     e = logits - logits.max(axis=-1, keepdims=True)
@@ -421,15 +416,12 @@ def score_windows(params: NetworkParams, feats: np.ndarray) -> np.ndarray:
     return probs
 
 
-def backward_batch(
-    params: NetworkParams, cache: ForwardCache, truths: np.ndarray, mean: bool = True
-) -> Gradients:
-    """Exact analytic gradient of the cross-entropy over a batch.
+def backward_batch(params: NetworkParams, cache: ForwardCache, truths: np.ndarray) -> Gradients:
+    """Exact analytic gradient of loss_cross_entropy(cache.probs, truths).
 
     Softmax probabilities are strictly positive, so the loss floor never
     binds mathematically; the gradient of the combined softmax/cross-entropy
-    is probs - onehot(truth) for all finite logits. With mean=True the
-    gradient corresponds to the batch-mean loss, otherwise to the sum.
+    is (probs - onehot(truth)) / B for all finite logits.
     """
     assert cache.params_ref is params, "stale forward cache for these parameters"
     B = cache.probs.shape[0]
@@ -438,8 +430,7 @@ def backward_batch(
 
     dlogits = cache.probs.copy()
     dlogits[np.arange(B), truths] -= 1.0
-    if mean:
-        dlogits /= B
+    dlogits /= B
 
     vector = np.empty(params.vector.size)
     d_conv_w, d_conv_b, d_dense_w, d_dense_b = _views(vector, params.shapes)
@@ -459,28 +450,10 @@ def backward_batch(
     return _bind(object.__new__(Gradients), vector, params.shapes)
 
 
-def forward(params: NetworkParams, feature: np.ndarray) -> ForwardResult:
-    """Classify a single (input_len, 2) feature matrix."""
-    f = np.asarray(feature, dtype=np.float64)
-    if f.ndim != 2:
-        raise NetError("feature must be a 2-D matrix")
-    if not np.isfinite(f).all():
-        raise NetError("feature must be finite")
-    cache = forward_batch(params, f[None])
-    return ForwardResult(cache.logits[0], Prediction(cache.probs[0]), cache)
-
-
-def backward(
-    params: NetworkParams, feature: np.ndarray, truth: int, cache: ForwardCache
-) -> Gradients:
-    """Gradient of loss_cross_entropy(forward(params, feature), truth)."""
-    return backward_batch(params, cache, np.asarray([int(truth)]), mean=False)
-
-
-def loss_cross_entropy(probs, truth: int) -> float:
-    """Negative log-likelihood with the probability floored at 1e-12."""
-    p = probs.probs if isinstance(probs, Prediction) else np.asarray(probs, dtype=np.float64)
-    return float(-np.log(max(float(p[int(truth)]), PROB_FLOOR)))
+def loss_cross_entropy(probs: np.ndarray, truths: np.ndarray) -> float:
+    """Batch-mean negative log-likelihood of (B, 3) probabilities, each floored at PROB_FLOOR."""
+    p_true = probs[np.arange(probs.shape[0]), truths]
+    return float(-np.log(np.maximum(p_true, PROB_FLOOR)).mean())
 
 
 # ---------------------------------------------------------------------------
@@ -582,16 +555,16 @@ def train(
                 losses = []
                 for batch, lo in enumerate(range(0, n, config.batch_size)):
                     idx = order[lo : lo + config.batch_size]
+                    truths = labels[idx]
                     # looked up as module globals on every call, so they can be wrapped
                     cache = forward_batch(params, features[idx])
-                    p_true = cache.probs[np.arange(idx.shape[0]), labels[idx]]
-                    loss = float(-np.log(np.maximum(p_true, PROB_FLOOR)).mean())
+                    loss = loss_cross_entropy(cache.probs, truths)
                     if not math.isfinite(loss):
                         raise TrainingError(
                             f"training diverged: non-finite loss in phase {phase_no}, epoch {epoch}, batch {batch}"
                         )
                     losses.append(loss)
-                    grads = backward_batch(params, cache, labels[idx], mean=True)
+                    grads = backward_batch(params, cache, truths)
                     try:
                         params, state = adam_step(params, grads, state, phase.adam)
                     except NetError:

@@ -91,6 +91,8 @@ class StimulusConfig:
             raise SimulationError("noise sigmas must be >= 0")
         if not 0 <= self.artifact_rate < 1 or self.artifact_scale < 1:
             raise SimulationError("artifact_rate must be in [0, 1), artifact_scale >= 1")
+        if not self.sequence_duration_s > 0:
+            raise SimulationError("sequence_duration_s must be positive")
 
     @property
     def dt_ms(self) -> float:

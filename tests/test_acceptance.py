@@ -18,9 +18,10 @@ from gazeflow.detectors import (
     concat_outputs,
     ivt_idt_detect,
 )
-from gazeflow.features import FrontendConfig, fft_magnitude, split_dataset
+from gazeflow.features import FrontendConfig, featurize_sequence, split_dataset
 from gazeflow.gaze import (
     DEFAULT_SPLIT_RATIOS,
+    GazeSequence,
     LabelClass,
     events_from_labels,
     split_units,
@@ -45,8 +46,7 @@ from gazeflow.net import (
     PhaseConfig,
     TrainConfig,
     adam_step,
-    backward,
-    forward,
+    backward_batch,
     forward_batch,
     init_params,
     loss_cross_entropy,
@@ -68,26 +68,30 @@ def report(n, detail):
 
 
 def test_criterion_01_fft_matches_naive_dft_and_parseval():
+    # the frontend's own DFT: 1,000 signals laid end to end on each channel of
+    # one recording, featurized one window per signal and without demeaning
     t0 = time.perf_counter()
-    n = 30
+    n, count = 30, 1000
     k = np.arange(n)
     dft_matrix = np.exp(-2j * np.pi * np.outer(k, k) / n)  # direct definition
     rng = np.random.default_rng(1001)
-    max_err = 0.0
-    max_parseval = 0.0
-    for _ in range(1000):
-        sig = rng.normal(scale=rng.uniform(0.1, 10.0), size=n)
-        ours = fft_magnitude(sig)
-        oracle = np.abs(dft_matrix @ sig)
-        max_err = max(max_err, float(np.max(np.abs(ours - oracle))))
-        lhs = float(np.sum(ours**2))
-        rhs = float(n * np.sum(sig**2))
-        max_parseval = max(max_parseval, abs(lhs - rhs) / rhs)
+    sigs = np.array([rng.normal(scale=rng.uniform(0.1, 10.0), size=n) for _ in range(2 * count)])
+    x, y = sigs[:count].ravel(), sigs[count:].ravel()
+    seq = GazeSequence(np.arange(n * count) * (1000.0 / 300.0), x, y, np.ones(n * count, bool))
+    cfg = FrontendConfig(stride=n, demean=False)
+    centers, feats = featurize_sequence(seq, cfg)
+    assert centers.tolist() == list(range(cfg.center_offset, n * count, n))
+    ours = np.concatenate([feats[:, :, 0], feats[:, :, 1]])  # one row per signal, in sigs order
+    oracle = np.abs(sigs @ dft_matrix.T)
+    max_err = float(np.max(np.abs(ours - oracle)))
+    lhs = np.sum(ours**2, axis=1)
+    rhs = n * np.sum(sigs**2, axis=1)
+    max_parseval = float(np.max(np.abs(lhs - rhs) / rhs))
     elapsed = time.perf_counter() - t0
     assert max_err < 1e-9
     assert max_parseval < 1e-9
     assert elapsed < 5.0
-    report(1, f"max_abs_err={max_err:.2e} parseval_rel={max_parseval:.2e} time={elapsed:.2f}s")
+    report(1, f"max_abs_err={max_err:.2e} parseval_rel={max_parseval:.2e} over {count} signals x 2 channels, time={elapsed:.2f}s")
 
 
 # ---------------------------------------------------------------------------
@@ -104,10 +108,9 @@ def test_criterion_02_gradients_match_finite_differences():
         params = replace(
             params, **{n_: a + rng.normal(0, 0.05, a.shape) for n_, a in params.arrays()}
         )
-        feat = rng.normal(scale=2.0, size=(30, 2))
-        truth = int(rng.integers(3))
-        res = forward(params, feat)
-        grads = backward(params, feat, truth, res.cache)
+        feat = rng.normal(scale=2.0, size=(1, 30, 2))  # a batch of one window
+        truth = np.array([rng.integers(3)])
+        grads = backward_batch(params, forward_batch(params, feat), truth)
         for name, arr in params.arrays():
             g = getattr(grads, name)
             for flat_k in range(arr.size):
@@ -116,10 +119,10 @@ def test_criterion_02_gradients_match_finite_differences():
                 minus = arr.copy().ravel()
                 minus[flat_k] -= h
                 lp = loss_cross_entropy(
-                    forward(replace(params, **{name: plus.reshape(arr.shape)}), feat).probs, truth
+                    forward_batch(replace(params, **{name: plus.reshape(arr.shape)}), feat).probs, truth
                 )
                 lm = loss_cross_entropy(
-                    forward(replace(params, **{name: minus.reshape(arr.shape)}), feat).probs, truth
+                    forward_batch(replace(params, **{name: minus.reshape(arr.shape)}), feat).probs, truth
                 )
                 fd = (lp - lm) / (2 * h)
                 an = g.ravel()[flat_k]

@@ -4,8 +4,12 @@ perfbench/tracing.py replaces each traced function on the module the program
 calls it through (for example `gazeflow.cli.train`, `gazeflow.net.adam_step`
 and `gazeflow.detectors.forward_batch`) for the length of a `patched()`
 block. A name that is gone fails every traced benchmark run, so this test
-enters that block from the unedited file.
+enters that block from the unedited file. The other benchmark files import
+gazeflow names too, some only after a whole session has run; the import
+check below reads them all without running them.
 """
+import ast
+import importlib
 import importlib.util
 from dataclasses import replace
 from pathlib import Path
@@ -17,7 +21,8 @@ from gazeflow.gaze import DEFAULT_SPLIT_RATIOS, DatasetSplit, WindowSet
 from gazeflow.gaze_io import write_gaze_csv
 from gazeflow.simulate import StimulusConfig, generate_corpus
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 
 
 def load_tracing():
@@ -82,3 +87,27 @@ def test_train_reaches_the_traced_split_and_featurize_through_module_globals(tmp
     assert kept == len(split.train) + len(split.validation)
     assert tracer.counts["features.featurize_sequence.windows_skipped"] == 100 + 29  # windows over the loss
     assert features.featurize_sequence is featurize and cli.split_dataset is features.split_dataset
+
+
+def gazeflow_imports(path):
+    """(module, name) of each gazeflow import in a file, name None for `import gazeflow.x`."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module.split(".")[0] == "gazeflow":
+            yield from ((node.module, alias.name) for alias in node.names)
+        elif isinstance(node, ast.Import):
+            yield from ((alias.name, None) for alias in node.names if alias.name.split(".")[0] == "gazeflow")
+
+
+def test_every_gazeflow_name_the_benchmark_imports_resolves():
+    found, missing = 0, []
+    for path in sorted(PERFBENCH.glob("*.py")):
+        for module, name in gazeflow_imports(path):
+            found += 1
+            mod = importlib.import_module(module)
+            if name is not None and not hasattr(mod, name):
+                try:
+                    importlib.import_module(f"{module}.{name}")  # `from gazeflow import cli`
+                except ModuleNotFoundError:
+                    missing.append(f"{path.name}: from {module} import {name}")
+    assert found > 20  # the walk sees the imports inside functions too
+    assert not missing, missing

@@ -386,6 +386,35 @@ class TestDataErrors:
         assert main([*argv, "--config", str(cfg)]) == 2
         assert f"[{section}] {key}" in one_error_line(capsys)
 
+    @pytest.mark.parametrize("command", ["synth", "train", "compare", "GAZEFLOW_SEED"])
+    def test_negative_seed_exit2(self, tmp_path, tiny_config, capsys, monkeypatch, command):
+        data = synth(tmp_path, tiny_config, n=3, seed=5)
+        model = tmp_path / "init.gznn"
+        save_model(init_params(0), model)
+        outputs = (tmp_path / "o", tmp_path / "m.gznn", tmp_path / "r")
+        argv = {
+            "synth": ["synth", "--out-dir", str(outputs[0]), "--sequences", "1", "--seed", "-1"],
+            "train": ["train", "--data-dir", str(data), "--out", str(outputs[1]), "--seed", "-2"],
+            "compare": ["compare", "--data-dir", str(data), "--model", str(model), "--report-dir", str(outputs[2]), "--seed", "-1"],
+            "GAZEFLOW_SEED": ["synth", "--out-dir", str(outputs[0]), "--sequences", "1"],
+        }[command]
+        if command == "GAZEFLOW_SEED":
+            monkeypatch.setenv("GAZEFLOW_SEED", "-3")
+        capsys.readouterr()
+        assert main([*argv, "--config", tiny_config]) == 2
+        line = one_error_line(capsys)
+        assert ("GAZEFLOW_SEED" if command == "GAZEFLOW_SEED" else "--seed") in line and "non-negative" in line
+        assert not any(p.exists() for p in outputs)
+
+    @pytest.mark.parametrize("duration", ["0", "-5"])
+    def test_non_positive_duration_exit2(self, tmp_path, capsys, duration):
+        cfg = tmp_path / "duration.cfg"
+        cfg.write_text(f"[stimulus]\nsequence_duration_s = {duration}\n")
+        capsys.readouterr()
+        assert main(["synth", "--config", str(cfg), "--out-dir", str(tmp_path / "o"), "--sequences", "1"]) == 2
+        assert "sequence_duration_s must be positive" in one_error_line(capsys)
+        assert not (tmp_path / "o").exists()
+
     def test_angle_threshold_above_pi_exit2(self, tmp_path, tiny_config, capsys):
         data = synth(tmp_path, tiny_config, n=1, seed=5)
         cfg = tmp_path / "angle.cfg"

@@ -21,7 +21,7 @@ from gazeflow.detectors import (
 )
 from gazeflow.features import featurize_sequence, repair_sequence, window_starts
 from gazeflow.gaze import GazeSequence, LabelClass
-from gazeflow.net import forward, init_params
+from gazeflow.net import forward_batch, init_params
 from gazeflow.simulate import StimulusConfig, generate_sequence
 
 F, S, P = LabelClass.FIXATION, LabelClass.SACCADE, LabelClass.PURSUIT
@@ -477,9 +477,9 @@ class TestCnnDetect:
         out = cnn_detect(params, seq)
         for k, (center, feat) in enumerate(zip(*featurize_sequence(seq))):
             assert out.sample_idx[k] == center
-            res = forward(params, feat)
-            assert np.max(np.abs(res.probs.probs - out.scores[k])) < 1e-12
-            assert out.labels[k] == int(res.probs.label)
+            probs = forward_batch(params, feat[None]).probs[0]
+            assert np.max(np.abs(probs - out.scores[k])) < 1e-12
+            assert out.labels[k] == int(np.argmax(probs))
 
 
 class TestDetectorOutputInvariants:

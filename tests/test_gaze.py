@@ -7,7 +7,6 @@ from gazeflow.gaze import (
     GazeDataError,
     GazeSequence,
     LabelClass,
-    Prediction,
     events_from_labels,
 )
 
@@ -52,25 +51,6 @@ class TestEventsFromLabels:
             labels = [LabelClass(int(c)) for c in rng.integers(0, 3, n)]
             events = events_from_labels(labels)
             assert [e.label for e in events for _ in range(e.n_samples)] == labels
-
-
-class TestPrediction:
-    def test_valid(self):
-        p = Prediction(np.array([0.2, 0.3, 0.5]))
-        assert p.label == P
-
-    def test_sum_tolerance(self):
-        Prediction(np.array([0.2, 0.3, 0.5 + 5e-10]))  # inside 1e-9
-        with pytest.raises(GazeDataError):
-            Prediction(np.array([0.2, 0.3, 0.51]))
-
-    def test_rejects_negative(self):
-        with pytest.raises(GazeDataError):
-            Prediction(np.array([-0.1, 0.6, 0.5]))
-
-    def test_argmax_tie_breaks_low(self):
-        p = Prediction(np.array([0.4, 0.4, 0.2]))
-        assert p.label == F
 
 
 class TestGazeSequence:

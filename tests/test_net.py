@@ -24,9 +24,7 @@ from gazeflow.net import (
     TrainConfig,
     TrainingError,
     adam_step,
-    backward,
     backward_batch,
-    forward,
     forward_batch,
     frame_accuracy,
     init_params,
@@ -77,12 +75,26 @@ def loop_forward(params, feat):
     return logits, e / e.sum()
 
 
+def forward_one(params, feat):
+    """The forward cache of one (input_len, 2) window, as a stack of one."""
+    return forward_batch(params, feat[None])
+
+
+def grads_one(params, feat, truth):
+    """The gradient of one window's loss, through the batch path."""
+    return backward_batch(params, forward_one(params, feat), np.array([truth]))
+
+
+def loss_one(params, feat, truth):
+    return loss_cross_entropy(forward_one(params, feat).probs, np.array([truth]))
+
+
 class TestForward:
     def test_zero_params_uniform(self):
         params = zero_params()
-        res = forward(params, np.random.default_rng(0).normal(size=(30, 2)))
-        assert np.allclose(res.logits, 0.0)
-        assert np.allclose(res.probs.probs, 1.0 / 3.0, atol=1e-15)
+        res = forward_one(params, np.random.default_rng(0).normal(size=(30, 2)))
+        assert np.allclose(res.logits[0], 0.0)
+        assert np.allclose(res.probs[0], 1.0 / 3.0, atol=1e-15)
 
     def test_shape_chain_defaults(self):
         params = init_params(0)
@@ -110,21 +122,21 @@ class TestForward:
         params = replace(params, conv_w=cw, dense_w=dw)
         feat = np.zeros((30, 2))
         feat[:, 0] = np.arange(30, dtype=float)
-        res = forward(params, feat)
+        logits = forward_one(params, feat).logits[0]
         # conv[i, 0] = feat[i, 0] = i; region 0 max over i in 0..4 -> 4
-        assert res.logits[0] == pytest.approx(4.0)
+        assert logits[0] == pytest.approx(4.0)
         ref_logits, ref_probs = loop_forward(params, feat)
-        assert np.allclose(res.logits, ref_logits, atol=1e-12)
+        assert np.allclose(logits, ref_logits, atol=1e-12)
 
     def test_matches_loop_oracle_random(self):
         rng = np.random.default_rng(5)
         for trial in range(10):
             params = init_params(trial)
             feat = rng.normal(size=(30, 2))
-            res = forward(params, feat)
+            res = forward_one(params, feat)
             ref_logits, ref_probs = loop_forward(params, feat)
-            assert np.max(np.abs(res.logits - ref_logits)) < 1e-12
-            assert np.max(np.abs(res.probs.probs - ref_probs)) < 1e-12
+            assert np.max(np.abs(res.logits[0] - ref_logits)) < 1e-12
+            assert np.max(np.abs(res.probs[0] - ref_probs)) < 1e-12
 
     def test_probs_sum_to_one(self):
         rng = np.random.default_rng(6)
@@ -141,28 +153,32 @@ class TestForward:
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(NetError):
-            forward(init_params(0), np.zeros((29, 2)))
+            forward_batch(init_params(0), np.zeros((1, 29, 2)))
 
 
 class TestLoss:
     def test_uniform(self):
-        assert loss_cross_entropy(np.array([1 / 3, 1 / 3, 1 / 3]), 1) == pytest.approx(np.log(3.0), abs=1e-12)
+        assert loss_cross_entropy(np.array([[1 / 3, 1 / 3, 1 / 3]]), np.array([1])) == pytest.approx(np.log(3.0), abs=1e-12)
 
     def test_confident_correct(self):
-        assert loss_cross_entropy(np.array([1.0, 0.0, 0.0]), 0) <= 1e-12
+        assert loss_cross_entropy(np.array([[1.0, 0.0, 0.0]]), np.array([0])) <= 1e-12
 
     def test_floor(self):
-        val = loss_cross_entropy(np.array([0.0, 1.0, 0.0]), 0)
+        val = loss_cross_entropy(np.array([[0.0, 1.0, 0.0]]), np.array([0]))
         assert val == pytest.approx(-np.log(1e-12), abs=1e-9)
         assert val == pytest.approx(27.631021115928547, abs=1e-9)
+
+    def test_batch_mean_of_row_losses(self):
+        probs = np.array([[0.5, 0.25, 0.25], [0.0, 1.0, 0.0], [0.2, 0.2, 0.6]])
+        truths = np.array([0, 0, 2])
+        rows = [loss_cross_entropy(probs[i : i + 1], truths[i : i + 1]) for i in range(3)]
+        assert loss_cross_entropy(probs, truths) == pytest.approx(np.mean(rows), abs=1e-12)
 
 
 class TestBackward:
     def test_zero_feature_conv_grads(self):
         params = init_params(1)
-        feat = np.zeros((30, 2))
-        res = forward(params, feat)
-        g = backward(params, feat, 0, res.cache)
+        g = grads_one(params, np.zeros((30, 2)), 0)
         assert np.all(g.conv_w == 0)
         assert np.any(g.conv_b != 0)
 
@@ -173,8 +189,7 @@ class TestBackward:
             params = init_params(trial + 10)
             feat = rng.normal(size=(30, 2)) * 2.0
             truth = int(rng.integers(3))
-            res = forward(params, feat)
-            grads = backward(params, feat, truth, res.cache)
+            grads = grads_one(params, feat, truth)
             for name, arr in params.arrays():
                 g = getattr(grads, name)
                 flat_idx = rng.choice(arr.size, size=min(8, arr.size), replace=False)
@@ -183,7 +198,7 @@ class TestBackward:
                         pert = arr.copy().ravel()
                         pert[k] += sign * h
                         pp = replace(params, **{name: pert.reshape(arr.shape)})
-                        val = loss_cross_entropy(forward(pp, feat).probs, truth)
+                        val = loss_one(pp, feat, truth)
                         if sign > 0:
                             lp = val
                         else:
@@ -192,6 +207,28 @@ class TestBackward:
                     an = g.ravel()[k]
                     assert abs(an - fd) < 1e-4 * max(abs(an), abs(fd), 1e-6)
 
+    def test_gradcheck_batch_mean(self):
+        # the step train takes: a batch's gradient against the batch-mean loss,
+        # over every component
+        rng = np.random.default_rng(12)
+        h = 1e-5
+        for trial in range(3):
+            params = init_params(trial + 30)
+            feats = rng.normal(scale=2.0, size=(8, 30, 2))
+            truths = rng.integers(0, 3, 8)
+            grads = backward_batch(params, forward_batch(params, feats), truths)
+            for name, arr in params.arrays():
+                for k in range(arr.size):
+                    loss = []
+                    for sign in (+1, -1):
+                        pert = arr.copy().ravel()
+                        pert[k] += sign * h
+                        pp = replace(params, **{name: pert.reshape(arr.shape)})
+                        loss.append(loss_cross_entropy(forward_batch(pp, feats).probs, truths))
+                    fd = (loss[0] - loss[1]) / (2 * h)
+                    an = getattr(grads, name).ravel()[k]
+                    assert abs(an - fd) < 1e-4 * max(abs(an), abs(fd), 1e-6), (name, k)
+
     def test_logit_shift_invariance(self):
         # adding a constant to every class bias shifts all logits equally,
         # leaving probabilities and hence all weight gradients unchanged
@@ -199,8 +236,8 @@ class TestBackward:
         params = init_params(21)
         feat = rng.normal(size=(30, 2))
         shifted = replace(params, dense_b=params.dense_b + 3.7)
-        g1 = backward(params, feat, 2, forward(params, feat).cache)
-        g2 = backward(shifted, feat, 2, forward(shifted, feat).cache)
+        g1 = grads_one(params, feat, 2)
+        g2 = grads_one(shifted, feat, 2)
         for name, _ in params.arrays():
             assert np.max(np.abs(getattr(g1, name) - getattr(g2, name))) < 1e-12
 
@@ -209,10 +246,10 @@ class TestBackward:
         params = init_params(2)
         feats = rng.normal(size=(6, 30, 2))
         truths = rng.integers(0, 3, 6)
-        gb = backward_batch(params, forward_batch(params, feats), truths, mean=True)
+        gb = backward_batch(params, forward_batch(params, feats), truths)
         acc = {name: np.zeros_like(a) for name, a in params.arrays()}
         for i in range(6):
-            gi = backward(params, feats[i], int(truths[i]), forward(params, feats[i]).cache)
+            gi = backward_batch(params, forward_batch(params, feats[i : i + 1]), truths[i : i + 1])
             for name, a in gi.arrays():
                 acc[name] += a / 6
         for name in acc:
@@ -223,11 +260,10 @@ class TestBackward:
         rng = np.random.default_rng(11)
         params = init_params(4)
         feat = rng.normal(size=(30, 2))
-        res = forward(params, feat)
-        dlogits = res.probs.probs.copy()
+        dlogits = forward_one(params, feat).probs[0].copy()
         dlogits[1] -= 1.0
         dflat = params.dense_w.T @ dlogits
-        g = backward(params, feat, 1, res.cache)
+        g = grads_one(params, feat, 1)
         # conv bias gradient sums the per-position gradient, which is the
         # scattered pool gradient; totals must match
         assert g.conv_b.sum() == pytest.approx(dflat.sum(), abs=1e-12)
@@ -552,7 +588,7 @@ class TestAgainstArrayOracle:
         for got, want in ((cache.flat, flat), (cache.logits, logits), (cache.probs, probs)):
             assert np.array_equal(bits(got), bits(want))
 
-        grads = backward_batch(params, cache, truths, mean=True)
+        grads = backward_batch(params, cache, truths)
         want = oracle_backward(params, cols, pool_arg, flat, probs, truths)
         for name, arr in grads.arrays():
             assert np.array_equal(bits(arr), bits(want[name])), name

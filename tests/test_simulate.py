@@ -229,6 +229,15 @@ class TestGenerateCorpus:
         tr = generate_sequence(cfg, 0)
         assert len(tr.sequence) == 1200
 
+    def test_short_duration_keeps_the_60_sample_floor(self):
+        tr = generate_sequence(StimulusConfig(seed=1, sequence_duration_s=0.01), 0)
+        assert len(tr.sequence) == 60
+
+    @pytest.mark.parametrize("duration", [0.0, -5.0, float("nan")])
+    def test_rejects_non_positive_duration(self, duration):
+        with pytest.raises(SimulationError, match="sequence_duration_s must be positive"):
+            StimulusConfig(sequence_duration_s=duration)
+
     def test_requires_positive_count(self):
         with pytest.raises(SimulationError):
             generate_corpus(StimulusConfig(), 0)
