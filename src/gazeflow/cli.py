@@ -19,21 +19,18 @@ import numpy as np
 from .detectors import (
     BASELINE_DETECTORS,
     BASELINE_EVAL_CLASSES,
-    BaselineConfig,
     DetectorError,
     DetectorOutput,
     cnn_detect,
     concat_outputs,
 )
-from .features import FeatureError, FrontendConfig, count_windows, split_dataset
+from .features import FeatureError, FrontendConfig, split_dataset, split_recordings
 from .gaze import (
     CLASS_NAMES,
-    DEFAULT_SPLIT_RATIOS,
     GazeDataError,
     GazeSequence,
     LabelClass,
     events_from_labels,
-    split_units,
 )
 from .gaze_io import (
     DataFormatError,
@@ -155,13 +152,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args.seed)
     cfg = _load_config(args.config, seed)
     seqs = _read_corpus(args.data_dir)
-    split = split_dataset(
-        seqs,
-        cfg.frontend,
-        DEFAULT_SPLIT_RATIOS,
-        seed=seed,
-        by_sequence=(cfg.split_level == "sequence"),
-    )
+    split = split_dataset(seqs, cfg.frontend, seed)
     params, history = train(split, cfg.train)
     save_model(params, args.out)
     write_history_csv(history.records, str(args.out) + ".history.csv")
@@ -283,16 +274,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config, seed)
     model = _load_model(args.model, cfg.frontend)
     seqs = _read_corpus(args.data_dir)
-    # split the recordings a by-sequence `train` splits: those that yield a window
-    units = np.flatnonzero([count_windows(s, cfg.frontend) > 0 for s in seqs])
-    if units.size < 3:
-        raise CliError(EXIT_DATA, "compare needs at least 3 sequences with a usable window to split")
-
-    _, val_ids, test_ids = split_units(units, DEFAULT_SPLIT_RATIOS, seed)
-    val_seqs = [seqs[i] for i in sorted(val_ids)]
-    test_seqs = [seqs[i] for i in sorted(test_ids)]
-    if not val_seqs or not test_seqs:
-        raise CliError(EXIT_DATA, "too few sequences for a validation/test split")
+    # the split train made: tune on its validation recordings, score its test recordings
+    part, _ = split_recordings(seqs, cfg.frontend, seed)
+    val_seqs = [s for s, k in zip(seqs, part) if k == 1]
+    test_seqs = [s for s, k in zip(seqs, part) if k == 2]
 
     max_gap = cfg.frontend.interp_max_gap
     tuned = tune_baselines(val_seqs, window_len=cfg.baselines.window_len, max_gap=max_gap)

@@ -11,6 +11,7 @@ magnitudes are reproducible bit-for-bit across implementations.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,19 +69,14 @@ def repair_sequence(seq: GazeSequence, max_gap: int) -> tuple[np.ndarray, np.nda
     still_bad = bad.copy()
     edges = np.flatnonzero(np.diff(bad.astype(np.int8)))
     starts = np.concatenate([[0], edges + 1])
-    for s in starts:
-        if not bad[s]:
-            continue
-        e = s
-        while e + 1 < n and bad[e + 1]:
-            e += 1
-        run_len = e - s + 1
-        if run_len <= max_gap and s > 0 and e < n - 1:
-            t = seq.t_ms
-            span = [t[s - 1], t[e + 1]]
-            x[s : e + 1] = np.interp(t[s : e + 1], span, [x[s - 1], x[e + 1]])
-            y[s : e + 1] = np.interp(t[s : e + 1], span, [y[s - 1], y[e + 1]])
-            still_bad[s : e + 1] = False
+    ends = np.concatenate([edges, [n - 1]])  # inclusive: runs alternate valid and invalid
+    repair = bad[starts] & (ends - starts + 1 <= max_gap) & (starts > 0) & (ends < n - 1)
+    t = seq.t_ms
+    for s, e in zip(starts[repair], ends[repair]):
+        span = [t[s - 1], t[e + 1]]
+        x[s : e + 1] = np.interp(t[s : e + 1], span, [x[s - 1], x[e + 1]])
+        y[s : e + 1] = np.interp(t[s : e + 1], span, [y[s - 1], y[e + 1]])
+        still_bad[s : e + 1] = False
     return x, y, still_bad
 
 
@@ -148,56 +144,64 @@ def featurize_sequence(
     return centers, feats
 
 
+def split_recordings(
+    sequences: list[GazeSequence], config: FrontendConfig = FrontendConfig(), seed: int = 0
+) -> tuple[np.ndarray, np.ndarray]:
+    """The one split rule of the package: whole recordings, dealt once.
+
+    The recordings that keep a window (count_windows) are dealt into train,
+    validation and test in the DEFAULT_SPLIT_RATIOS proportions,
+    deterministically for a fixed seed, so that the overlapping windows of
+    one recording never land in two parts. Returns (part, counts), one
+    entry per recording: its part (0 train, 1 validation, 2 test, -1 for a
+    recording without a window) and the number of windows it keeps. Raises
+    FeatureError when validation or test would be empty.
+    """
+    counts = np.array([count_windows(seq, config) for seq in sequences], dtype=np.int64)
+    units = np.flatnonzero(counts)
+    train, validation, test = split_units(units, DEFAULT_SPLIT_RATIOS, seed)
+    if not (validation.size and test.size):
+        need = math.ceil(1 / min(DEFAULT_SPLIT_RATIOS[1:]))
+        raise FeatureError(
+            f"a split by recording needs at least {need} recordings that keep a window, got {units.size}"
+        )
+    part = np.full(counts.size, -1, dtype=np.int8)
+    for k, ids in enumerate((train, validation, test)):
+        part[ids] = k
+    return part, counts
+
+
 def split_dataset(
-    sequences: list[GazeSequence],
-    config: FrontendConfig = FrontendConfig(),
-    ratios: tuple[float, float, float] = DEFAULT_SPLIT_RATIOS,
-    seed: int = 0,
-    by_sequence: bool = False,
+    sequences: list[GazeSequence], config: FrontendConfig = FrontendConfig(), seed: int = 0
 ) -> DatasetSplit:
     """Featurize labeled sequences into the train and validation parts of a split.
 
-    The windows every sequence keeps (count_windows) are numbered in sequence
-    order; split_units deals these window ids into train, validation and
-    test, or with by_sequence=True the ids of the sequences that keep a
-    window, so that no sequence contributes to two parts. Deterministic for
-    a fixed seed. Each sequence is then featurized once, straight into the
-    rows of its part at their exact size, in ascending window id; the test
-    windows are never featurized. Window labels are taken from the center
-    sample and groups carry the index of the source sequence. Unlabeled
-    sequences raise FeatureError, as does a set without any window.
+    split_recordings decides the part of each recording before any feature
+    is computed. Each train and validation recording is then featurized
+    once and copied whole into its part, in recording order; the test
+    recordings are never featurized. Window labels are taken from the
+    center sample and groups carry the index of the source sequence.
+    Unlabeled sequences raise FeatureError, as does a set with too few
+    recordings that keep a window.
     """
     for gi, seq in enumerate(sequences):
         if seq.labels is None:
             raise FeatureError(f"sequence {seq.source_id or gi} has no labels")
-    counts = np.array([count_windows(seq, config) for seq in sequences], dtype=np.int64)
-    ends = np.cumsum(counts)
-    if not ends.size or ends[-1] == 0:
-        raise FeatureError("no usable windows in the given sequences")
-
-    units = np.flatnonzero(counts) if by_sequence else np.arange(ends[-1])
-    part = np.full(units.size, 2, dtype=np.int8)  # the part of each unit: train 0, validation 1, test 2
-    for k, ids in enumerate(split_units(units, ratios, seed)[:2]):
-        part[np.searchsorted(units, ids)] = k
-    if by_sequence:
-        part = np.repeat(part, counts[units])
-    sizes = np.bincount(part, minlength=3)
+    part, counts = split_recordings(sequences, config, seed)
     L = config.window_len
     parts = [
         WindowSet(np.empty((size, L, 2)), np.empty(size, np.int8), np.empty(size, np.int64))
-        for size in sizes[:2]
+        for size in (int(counts[part == k].sum()) for k in (0, 1))
     ]
     filled = [0, 0]
     for gi, seq in enumerate(sequences):
-        seq_part = part[ends[gi] - counts[gi] : ends[gi]]
-        if not (seq_part < 2).any():
+        k = part[gi]
+        if k not in (0, 1):
             continue
         centers, feats = featurize_sequence(seq, config)  # looked up as a module global, so it can be wrapped
-        for k, ws in enumerate(parts):
-            rows = seq_part == k
-            lo, hi = filled[k], filled[k] + int(rows.sum())
-            np.compress(rows, feats, axis=0, out=ws.features[lo:hi])
-            ws.labels[lo:hi] = seq.labels[centers[rows]]
-            ws.groups[lo:hi] = gi
-            filled[k] = hi
+        ws, lo, hi = parts[k], filled[k], filled[k] + centers.size
+        ws.features[lo:hi] = feats
+        ws.labels[lo:hi] = seq.labels[centers]
+        ws.groups[lo:hi] = gi
+        filled[k] = hi
     return DatasetSplit(train=parts[0], validation=parts[1])

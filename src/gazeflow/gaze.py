@@ -143,9 +143,11 @@ class WindowSet:
 
 @dataclass(frozen=True)
 class DatasetSplit:
-    """The train and validation windows of a split (features.split_dataset).
+    """The train and validation windows of a split by recording
+    (features.split_dataset): every window of a recording lies in one part.
 
-    The test part is never featurized: it is held out by split_units alone.
+    The test recordings are never featurized: features.split_recordings
+    holds them out, and compare scores them.
     """
 
     train: WindowSet

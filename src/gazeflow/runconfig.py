@@ -44,7 +44,6 @@ class RunConfig:
     baselines: BaselineConfig = field(default_factory=BaselineConfig)
     stimulus: StimulusConfig = field(default_factory=StimulusConfig)
     evaluation: EvaluationConfig = field(default_factory=EvaluationConfig)
-    split_level: str = "window"  # or "sequence"
 
 
 def _keys(config, prefix: str = "", skip: tuple[str, ...] = ()) -> dict[str, type]:
@@ -78,7 +77,8 @@ def _apply(config, values: dict[str, object], prefix: str = "", skip: tuple[str,
 
 # [training] holds phase1_epochs, phase1_alpha, ... phase2_epsilon, the
 # other TrainConfig fields but the seed and the [network] geometry, and
-# split_level; [stimulus] holds every StimulusConfig field but the seed
+# split_level, kept so that files naming the one split (sequence) still
+# load; [stimulus] holds every StimulusConfig field but the seed
 _TRAIN = TrainConfig()
 _PHASES = ("phase1", "phase2")
 _NETWORK = ("kernel_len", "pool_factor")
@@ -102,7 +102,7 @@ _SCHEMA: dict[str, dict[str, type]] = {
         **_phase_keys("phase1"),
         **_phase_keys("phase2"),
         **_keys(_TRAIN, skip=_PHASES + _NETWORK + ("seed",)),
-        "split_level": type(RunConfig.split_level),
+        "split_level": str,
     },
     "baselines": _keys(BaselineConfig()),
     "stimulus": _keys(StimulusConfig(), skip=("seed",)),
@@ -156,9 +156,13 @@ def build_run_config(values: dict[str, dict[str, object]], seed: int = 0) -> Run
     training = values.get("training", {})
     try:
         frontend = _apply(FrontendConfig(), values.get("frontend", {}))
-        split_level = training.get("split_level", RunConfig.split_level)
-        if split_level not in ("window", "sequence"):
-            raise ConfigError("split_level must be 'window' or 'sequence'")
+        split_level = training.get("split_level", "sequence")
+        if split_level != "sequence":
+            raise ConfigError(
+                f"[training] split_level = {split_level}: the window split was removed, because it dealt "
+                "overlapping windows of one recording into train, validation and test; recordings are "
+                "always split whole, so 'sequence' is the only value"
+            )
         phases = {p: _apply_phase(p, training) for p in _PHASES}
         train = _apply(_TRAIN, {**training, **values.get("network", {})}, skip=_PHASES)
         train = replace(train, seed=seed, **phases)
@@ -177,4 +181,4 @@ def build_run_config(values: dict[str, dict[str, object]], seed: int = 0) -> Run
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
-    return RunConfig(frontend, train, baselines, stimulus, evaluation, split_level)
+    return RunConfig(frontend, train, baselines, stimulus, evaluation)

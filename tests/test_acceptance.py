@@ -330,7 +330,7 @@ def test_noiseless_compare_gate(noiseless_corpus):
     # scaled companion to criterion 6: with a briefly trained network, all
     # five detectors reach mean ROC area >= 0.99 on noiseless data
     seqs = noiseless_corpus
-    split = split_dataset(seqs, seed=ACCEPT_SEED, by_sequence=True)
+    split = split_dataset(seqs, seed=ACCEPT_SEED)
     hot = AdamConfig(alpha=0.005, beta1=0.9, beta2=0.99, epsilon=1e-8)
     params, _ = train(
         split,
@@ -365,7 +365,7 @@ def learning_pipeline(tmp_path_factory):
     cfg = StimulusConfig(seed=ACCEPT_SEED, sequence_duration_s=7.0)
     traces = generate_corpus(cfg, 48)
     seqs = [t.sequence for t in traces]
-    split = split_dataset(seqs, FrontendConfig(), DEFAULT_SPLIT_RATIOS, seed=ACCEPT_SEED, by_sequence=True)
+    split = split_dataset(seqs, FrontendConfig(), ACCEPT_SEED)
 
     params, history = train(split, TrainConfig(seed=ACCEPT_SEED))
 

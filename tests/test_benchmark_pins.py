@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from gazeflow import cli, detectors, features, net
-from gazeflow.gaze import DEFAULT_SPLIT_RATIOS, DatasetSplit, WindowSet
+from gazeflow.gaze import DatasetSplit, WindowSet
 from gazeflow.gaze_io import write_gaze_csv
 from gazeflow.simulate import StimulusConfig, generate_corpus
 
@@ -73,7 +73,7 @@ def test_train_reaches_the_traced_split_and_featurize_through_module_globals(tmp
         write_gaze_csv(seq, data / f"seq-{k:04d}.csv")
     cfg = tmp_path / "train.ini"
     cfg.write_text("[training]\nsplit_level = sequence\nphase1_epochs = 1\nphase2_epochs = 0\n")
-    split = features.split_dataset(seqs, features.FrontendConfig(), DEFAULT_SPLIT_RATIOS, seed=3, by_sequence=True)
+    split = features.split_dataset(seqs, features.FrontendConfig(), 3)
     featurize = features.featurize_sequence
     tracer = tracing.Tracer()
     with tracing.patched(tracer):

@@ -24,7 +24,7 @@ from gazeflow.metrics import (
     prf_from_confusion,
 )
 from gazeflow.model_io import load_model, model_crc, save_model
-from gazeflow.net import init_params
+from gazeflow.net import init_params, train
 from gazeflow.simulate import StimulusConfig, generate_sequence
 from gazeflow.tuning import tune_baselines
 
@@ -100,7 +100,7 @@ class TestSynth:
 class TestTrainDetectEvalTrace:
     @pytest.fixture()
     def pipeline(self, tmp_path, tiny_config):
-        data = synth(tmp_path, tiny_config, n=4, seed=5)
+        data = synth(tmp_path, tiny_config, n=8, seed=5)  # the fewest a split by recording takes
         model = tmp_path / "model.gznn"
         code = main(
             ["train", "--data-dir", str(data), "--config", tiny_config, "--out", str(model), "--seed", "5"]
@@ -341,7 +341,7 @@ class TestDataErrors:
         assert code == 3
 
     def test_train_divergence_exit3_writes_no_model(self, tmp_path, tiny_config, capsys):
-        data = synth(tmp_path, tiny_config, n=4, seed=5)
+        data = synth(tmp_path, tiny_config, n=8, seed=5)
         cfg = tmp_path / "hot.cfg"
         cfg.write_text(TINY_CONFIG.replace("[training]", "[training]\nphase1_alpha = 1e300"))
         model = tmp_path / "m.gznn"
@@ -443,6 +443,35 @@ class TestDataErrors:
         assert "window_len must be >= 3" in one_error_line(capsys)
         assert not (tmp_path / "p.csv").exists() and not (tmp_path / "r").exists()
 
+    def test_window_split_level_exit2(self, tmp_path, tiny_config, capsys):
+        data = synth(tmp_path, tiny_config, n=8, seed=5)
+        cfg = tmp_path / "window.cfg"
+        cfg.write_text(TINY_CONFIG.replace("[training]", "[training]\nsplit_level = window"))
+        capsys.readouterr()
+        code = main(["train", "--data-dir", str(data), "--config", str(cfg), "--out", str(tmp_path / "m.gznn")])
+        assert code == 2
+        assert "split_level = window: the window split was removed" in one_error_line(capsys)
+        assert not (tmp_path / "m.gznn").exists()
+
+    def test_train_and_compare_reject_seven_recordings_with_one_line(self, tmp_path, tiny_config, capsys):
+        # eight recordings, one without a window: too few for a validation and a test recording
+        data = synth(tmp_path, tiny_config, n=8, seed=5)
+        dead = read_gaze_csv(data / "seq-0003.csv")
+        write_gaze_csv(replace(dead, valid=np.zeros(len(dead), bool)), data / "seq-0003.csv")
+        model = tmp_path / "init.gznn"
+        save_model(init_params(0), model)
+        argv = {
+            "train": ["train", "--data-dir", str(data), "--out", str(tmp_path / "m.gznn")],
+            "compare": ["compare", "--data-dir", str(data), "--model", str(model), "--report-dir", str(tmp_path / "r")],
+        }
+        lines = set()
+        for command in ("train", "compare"):
+            capsys.readouterr()
+            assert main([*argv[command], "--config", tiny_config]) == 3
+            lines.add(one_error_line(capsys))
+        assert lines == {"data error: a split by recording needs at least 8 recordings that keep a window, got 7"}
+        assert not (tmp_path / "m.gznn").exists() and not (tmp_path / "r").exists()
+
     def test_unknown_config_key_exit2(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("[training]\nwarp_speed = 9\n")
@@ -525,6 +554,34 @@ class TestCompare:
         assert len(trained) == 6 and len(tested) == 1
         assert not tested & trained
         assert paths[2].stem not in trained | tested
+
+    def test_default_train_then_compare_scores_no_training_recording(self, tmp_path, tiny_config, monkeypatch):
+        # train and compare without --config; one training epoch keeps it short
+        data = synth(tmp_path, tiny_config, n=9, seed=5)
+        trained, tested = set(), set()
+
+        def spy_split(seqs, *args, **kwargs):
+            split = split_dataset(seqs, *args, **kwargs)
+            trained.update(seqs[g].source_id for g in np.unique(split.train.groups))
+            return split
+
+        def spy_cnn_detect(model, seq, *args, **kwargs):
+            tested.add(seq.source_id)
+            return cnn_detect(model, seq, *args, **kwargs)
+
+        def one_epoch(split, config):
+            phases = {"phase1": replace(config.phase1, epochs=1), "phase2": replace(config.phase2, epochs=0)}
+            return train(split, replace(config, **phases))
+
+        monkeypatch.setattr(cli, "split_dataset", spy_split)
+        monkeypatch.setattr(cli, "cnn_detect", spy_cnn_detect)
+        monkeypatch.setattr(cli, "train", one_epoch)
+        model = tmp_path / "model.gznn"
+        assert main(["train", "--data-dir", str(data), "--out", str(model), "--seed", "5"]) == 0
+        assert main(["compare", "--data-dir", str(data), "--model", str(model),
+                     "--report-dir", str(tmp_path / "cmp"), "--seed", "5"]) == 0
+        assert len(trained) == 7 and len(tested) == 1
+        assert not tested & trained
 
     def test_compare_missing_model_exit4(self, tmp_path, tiny_config):
         data = synth(tmp_path, tiny_config, n=3, seed=7)

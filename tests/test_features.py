@@ -14,9 +14,10 @@ from gazeflow.features import (
     featurize_sequence,
     repair_sequence,
     split_dataset,
+    split_recordings,
     window_starts,
 )
-from gazeflow.gaze import DEFAULT_SPLIT_RATIOS, GazeDataError, GazeSequence, WindowSet, split_units
+from gazeflow.gaze import DEFAULT_SPLIT_RATIOS, GazeSequence, WindowSet, split_units
 from gazeflow.simulate import StimulusConfig, generate_corpus, generate_sequence
 
 
@@ -257,6 +258,77 @@ class TestRepairSequence:
         assert bad.tolist() == [False, True, True, True, False]
 
 
+def oracle_repair_sequence(seq, max_gap):
+    """The per-sample run walk that repair_sequence replaced, kept as an oracle."""
+    x = np.array(seq.x_deg, dtype=np.float64)
+    y = np.array(seq.y_deg, dtype=np.float64)
+    bad = ~np.asarray(seq.valid, dtype=bool)
+    n = x.shape[0]
+    if not bad.any():
+        return x, y, bad
+
+    still_bad = bad.copy()
+    edges = np.flatnonzero(np.diff(bad.astype(np.int8)))
+    starts = np.concatenate([[0], edges + 1])
+    for s in starts:
+        if not bad[s]:
+            continue
+        e = s
+        while e + 1 < n and bad[e + 1]:
+            e += 1
+        run_len = e - s + 1
+        if run_len <= max_gap and s > 0 and e < n - 1:
+            t = seq.t_ms
+            span = [t[s - 1], t[e + 1]]
+            x[s : e + 1] = np.interp(t[s : e + 1], span, [x[s - 1], x[e + 1]])
+            y[s : e + 1] = np.interp(t[s : e + 1], span, [y[s - 1], y[e + 1]])
+            still_bad[s : e + 1] = False
+    return x, y, still_bad
+
+
+def with_losses(seq, lost):
+    return replace(
+        seq,
+        x_deg=np.where(lost, np.nan, seq.x_deg),
+        y_deg=np.where(lost, np.nan, seq.y_deg),
+        valid=seq.valid & ~lost,
+    )
+
+
+def repair_cases():
+    """Gappy recordings: runs at index 0 and at n - 1, 1-sample runs, runs of
+    1 to 8 samples, a blink-length run, an all-invalid and a lossless one."""
+    seq = generate_sequence(StimulusConfig(seed=5, sequence_duration_s=3.0), 0).sequence
+    n = len(seq)
+    rng = np.random.default_rng(5)
+    edges = np.zeros(n, bool)
+    edges[:3] = edges[-1] = True
+    singles = np.zeros(n, bool)
+    singles[rng.choice(np.arange(2, n - 2, 3), size=60, replace=False)] = True
+    mixed = np.zeros(n, bool)
+    for k, s in enumerate(range(20, n - 160, 40)):
+        mixed[s : s + 1 + k % 8] = True
+    mixed[n - 150 : n - 45] = True  # a 105-sample blink
+    mixed[0] = mixed[n - 2 :] = True
+    cases = {name: with_losses(seq, lost) for name, lost in
+             (("edges", edges), ("singles", singles), ("mixed", mixed), ("dead", np.ones(n, bool)))}
+    cases["clean"] = seq
+    cases["gappy"] = with_tracking_loss(seq, 3)
+    return cases
+
+
+class TestRepairAgainstRunWalk:
+    @pytest.mark.parametrize("case", ["edges", "singles", "mixed", "dead", "clean", "gappy"])
+    @pytest.mark.parametrize("max_gap", [0, 1, 3, 6])
+    def test_bit_identical(self, case, max_gap):
+        seq = repair_cases()[case]
+        got, want = repair_sequence(seq, max_gap), oracle_repair_sequence(seq, max_gap)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(bits(a), bits(b))
+        repaired = got[2] < ~np.asarray(seq.valid)
+        assert repaired.any() == (case in ("singles", "mixed", "gappy") and max_gap > 0)
+
+
 # ---------------------------------------------------------------------------
 # The whole-recording frontend and the two-step split that featurize_sequence
 # and split_dataset replaced, kept as oracles.
@@ -293,12 +365,12 @@ def oracle_build_window_set(sequences, config=FrontendConfig()):
     return WindowSet(np.concatenate(feats), np.concatenate(labels), np.concatenate(groups))
 
 
-def oracle_split_dataset(windows, ratios=DEFAULT_SPLIT_RATIOS, seed=0, by_sequence=False):
-    """(train, validation, test) fancy-indexed out of the whole window set."""
-    units = np.unique(windows.groups) if by_sequence else np.arange(len(windows))
+def oracle_split_dataset(windows, ratios=DEFAULT_SPLIT_RATIOS, seed=0):
+    """(train, validation, test) fancy-indexed out of the whole window set, by recording."""
+    units = np.unique(windows.groups)
 
     def pick(unit_ids):
-        idx = np.flatnonzero(np.isin(windows.groups, unit_ids)) if by_sequence else np.sort(unit_ids)
+        idx = np.flatnonzero(np.isin(windows.groups, unit_ids))
         return WindowSet(windows.features[idx], windows.labels[idx], windows.groups[idx])
 
     return tuple(pick(ids) for ids in split_units(units, ratios, seed))
@@ -323,12 +395,7 @@ def with_tracking_loss(seq, seed):
         lost[s : s + rng.integers(1, 4)] = True
     blink = int(rng.integers(40, len(seq) - 120))
     lost[blink : blink + int(rng.integers(45, 105))] = True
-    return replace(
-        seq,
-        x_deg=np.where(lost, np.nan, seq.x_deg),
-        y_deg=np.where(lost, np.nan, seq.y_deg),
-        valid=seq.valid & ~lost,
-    )
+    return with_losses(seq, lost)
 
 
 def small_corpus(n=12, duration_s=2.0, seed=11):
@@ -351,13 +418,12 @@ SPLIT_CONFIGS = {"default": FrontendConfig(), "stride-3": FrontendConfig(stride=
 class TestSplitDatasetAgainstOracle:
     @pytest.mark.parametrize("config", sorted(SPLIT_CONFIGS))
     @pytest.mark.parametrize("corpus", sorted(SPLIT_CORPORA))
-    @pytest.mark.parametrize("by_sequence", [True, False], ids=["sequence", "window"])
-    def test_parts_equal_the_two_step_split_bit_for_bit(self, corpus, config, by_sequence):
+    def test_parts_equal_the_two_step_split_bit_for_bit(self, corpus, config):
         seqs, cfg = SPLIT_CORPORA[corpus](), SPLIT_CONFIGS[config]
         for seed in (7, 3):
-            split = split_dataset(seqs, cfg, DEFAULT_SPLIT_RATIOS, seed=seed, by_sequence=by_sequence)
+            split = split_dataset(seqs, cfg, seed)
             train, validation, test = oracle_split_dataset(
-                oracle_build_window_set(seqs, cfg), DEFAULT_SPLIT_RATIOS, seed, by_sequence
+                oracle_build_window_set(seqs, cfg), DEFAULT_SPLIT_RATIOS, seed
             )
             assert_same_windows(split.train, train)
             assert_same_windows(split.validation, validation)
@@ -372,19 +438,26 @@ class TestSplitDatasetAgainstOracle:
             return featurize_sequence(seq, config)
 
         monkeypatch.setattr(features, "featurize_sequence", spy)
-        split = split_dataset(seqs, seed=7, by_sequence=True)
+        split = split_dataset(seqs, seed=7)
         kept = [seqs[g].source_id for g in np.unique(np.concatenate([split.train.groups, split.validation.groups]))]
         assert featurized == kept
         assert 0 < len(kept) < len(seqs) - 1  # the dead recording and the test part are left out
+
+    @pytest.mark.parametrize("corpus", sorted(SPLIT_CORPORA))
+    def test_recording_parts_match_the_split(self, corpus):
+        seqs = SPLIT_CORPORA[corpus]()
+        part, counts = split_recordings(seqs, seed=7)
+        split = split_dataset(seqs, seed=7)
+        assert counts.tolist() == [count_windows(s) for s in seqs]
+        assert np.array_equal(part == -1, counts == 0)
+        assert np.flatnonzero(part == 0).tolist() == np.unique(split.train.groups).tolist()
+        assert np.flatnonzero(part == 1).tolist() == np.unique(split.validation.groups).tolist()
+        assert (part == 2).sum() == 1  # floor(0.125 * 11) = floor(0.125 * 12) = 1
 
     def test_unlabeled_sequence_rejected(self):
         seqs = small_corpus(n=3)
         with pytest.raises(FeatureError, match="has no labels"):
             split_dataset([*seqs, replace(seqs[0], labels=None)])
-
-    def test_bad_ratios_rejected(self):
-        with pytest.raises(GazeDataError):
-            split_dataset(small_corpus(n=3), ratios=(0.5, 0.5, 0.5))
 
 
 class TestChunkedFeaturize:
@@ -419,13 +492,12 @@ class TestMemory:
             tracemalloc.stop()
         assert peak < 1.5 * feats.nbytes
 
-    @pytest.mark.parametrize("by_sequence", [True, False], ids=["sequence", "window"])
-    def test_split_holds_its_two_parts_and_little_else(self, by_sequence):
+    def test_split_holds_its_two_parts_and_little_else(self):
         seqs = small_corpus(n=48, duration_s=7.0, seed=7)
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
-            split = split_dataset(seqs, seed=7, by_sequence=by_sequence)
+            split = split_dataset(seqs, seed=7)
             peak = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()

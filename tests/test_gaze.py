@@ -8,6 +8,7 @@ from gazeflow.gaze import (
     GazeSequence,
     LabelClass,
     events_from_labels,
+    split_units,
 )
 
 F, S, P = LabelClass.FIXATION, LabelClass.SACCADE, LabelClass.PURSUIT
@@ -120,12 +121,11 @@ def _sequences(window_counts, seed=0):
 
 class TestSplitDataset:
     def test_exact_sizes_small(self):
-        split = split_dataset(_sequences([8]), seed=1)
-        assert (len(split.train), len(split.validation)) == (6, 1)
-        assert 8 - len(split.train) - len(split.validation) == 1  # the held-out test window
+        split = split_dataset(_sequences([8] * 8), seed=1)
+        assert (len(split.train), len(split.validation)) == (48, 8)  # 6 and 1 recordings; 1 held out
 
     def test_sizes_and_partition_1000(self):
-        seqs = _sequences([250, 250, 250, 250], seed=3)
+        seqs = _sequences([125] * 8, seed=3)
         split = split_dataset(seqs, seed=3)
         assert (len(split.train), len(split.validation)) == (750, 125)
         # disjoint union oracle: membership via feature fingerprints (first harmonic)
@@ -133,19 +133,19 @@ class TestSplitDataset:
         seen = np.concatenate([split.train.features[:, 1, 0], split.validation.features[:, 1, 0]])
         assert np.unique(key).size == 1000
         assert np.unique(seen).size == 875 and np.isin(seen, key).all()
-        assert np.setdiff1d(key, seen).size == 125  # the held-out test windows
+        assert np.setdiff1d(key, seen).size == 125  # the held-out test recording
 
     def test_deterministic(self):
-        seqs = _sequences([40, 30, 30])
+        seqs = _sequences([40, 30, 30, 20, 20, 10, 10, 10])
         a = split_dataset(seqs, seed=42)
         b = split_dataset(seqs, seed=42)
         assert np.array_equal(a.train.features, b.train.features)
         assert np.array_equal(a.validation.labels, b.validation.labels)
         assert np.array_equal(a.validation.groups, b.validation.groups)
 
-    def test_by_sequence_keeps_groups_whole(self):
+    def test_keeps_recordings_whole(self):
         counts = [10, 20, 30, 40, 50, 60, 70, 120]
-        split = split_dataset(_sequences(counts, seed=5), seed=9, by_sequence=True)
+        split = split_dataset(_sequences(counts, seed=5), seed=9)
         parts = [set(np.unique(p.groups).tolist()) for p in (split.train, split.validation)]
         held_out = set(range(len(counts))) - parts[0] - parts[1]
         assert held_out and not (parts[0] & parts[1])
@@ -154,11 +154,13 @@ class TestSplitDataset:
         assert len(split.train) + len(split.validation) + sum(counts[g] for g in held_out) == 400
 
     def test_empty_rejected(self):
-        with pytest.raises(FeatureError):
+        with pytest.raises(FeatureError, match="at least 8 recordings that keep a window, got 0"):
             split_dataset([])
-        with pytest.raises(FeatureError):
+        with pytest.raises(FeatureError, match="got 0"):
             split_dataset(_sequences([0, 0]))  # 29 samples: shorter than one window
+        with pytest.raises(FeatureError, match="at least 8 recordings that keep a window, got 7"):
+            split_dataset(_sequences([0, 5, 5, 5, 5, 5, 5, 5]))  # the first keeps no window
 
     def test_bad_ratios(self):
         with pytest.raises(GazeDataError):
-            split_dataset(_sequences([10]), ratios=(0.5, 0.2, 0.2))
+            split_units(np.arange(10), (0.5, 0.2, 0.2), 0)

@@ -80,7 +80,6 @@ class TestLoadRunConfig:
         assert cfg.frontend.window_len == 30
         assert cfg.train.seed == 9
         assert cfg.stimulus.seed == 9
-        assert cfg.split_level == "window"
 
     def test_full_example(self, tmp_path):
         path = tmp_path / "full.cfg"
@@ -90,7 +89,6 @@ class TestLoadRunConfig:
         assert cfg.train.phase2.adam.beta2 == 0.1
         assert cfg.train.batch_size == 32
         assert cfg.train.keep == "best"
-        assert cfg.split_level == "sequence"
         assert cfg.baselines.velocity_threshold_deg_s == 55
         assert cfg.stimulus.fixation_dur_ms == (100.0, 400.0)
         assert cfg.stimulus.noise_sigma_deg == 0.1
@@ -122,11 +120,14 @@ class TestLoadRunConfig:
         with pytest.raises(ConfigError):
             load_run_config(path)
 
-    def test_bad_split_level(self, tmp_path):
+    @pytest.mark.parametrize("value", ["window", "sideways"])
+    def test_only_the_sequence_split_level(self, tmp_path, value):
         path = tmp_path / "bad.cfg"
-        path.write_text("[training]\nsplit_level = sideways\n")
-        with pytest.raises(ConfigError):
+        path.write_text(f"[training]\nsplit_level = {value}\n")
+        with pytest.raises(ConfigError, match=f"split_level = {value}: the window split was removed"):
             load_run_config(path)
+        path.write_text("[training]\nsplit_level = sequence\n")
+        assert load_run_config(path) == RunConfig()
 
     def test_bool_parsing(self, tmp_path):
         path = tmp_path / "cfg.cfg"
@@ -270,6 +271,5 @@ def test_every_key_reaches_its_field(tmp_path):
             sequence_duration_s=2.0,
         ),
         evaluation=EvaluationConfig(confidence_steps=5),
-        split_level="sequence",
     )
     assert load_run_config(path, seed=3) == expected
