@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .features import FrontendConfig, featurize_sequence, repair_sequence, window_starts
 from .gaze import GazeSequence, N_CLASSES, LabelClass
@@ -161,23 +160,39 @@ def _velocity_array(t_ms: np.ndarray, x: np.ndarray, y: np.ndarray, bad: np.ndar
 # compact coordinates.
 
 
-def _dispersion(xs: np.ndarray, ys: np.ndarray, run_id: np.ndarray, off_l: int, off_r: int) -> np.ndarray:
-    """Per-sample (x-range + y-range) over the run-clipped window.
+def _dispersion(xs: np.ndarray, ys: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per-sample (x-range + y-range) over the run-clipped window [a, b].
 
-    Window slots past either end or in another run are left out of the max
-    and min, which are exact, so the result does not depend on the neighbours.
+    A window of w samples is the union of two blocks of 2**k samples,
+    k = floor(log2(w)), one starting at a and one ending at b. The block
+    maxima and minima form a sparse table, built in place one level at a
+    time from the level below, so only one level is held. Max and min are
+    exact, so each range equals the max minus the min over the window itself.
     """
-    L = off_l + off_r + 1
-    pad_id = np.concatenate([np.full(off_l, -1), run_id, np.full(off_r, -1)])
-    same_run = sliding_window_view(pad_id, L) == run_id[:, None]
+    # floor(log2(width)) of each window, read off a table over the widths 1..widest
+    widest = int((b - a).max()) + 1
+    level = (np.frexp(np.arange(1, widest + 1))[1] - 1).astype(np.int8)[b - a]
+    by_level = [np.flatnonzero(level == k) for k in range(int(level.max()) + 1)]
 
     def window_range(v: np.ndarray) -> np.ndarray:
-        w = sliding_window_view(np.concatenate([np.zeros(off_l), v, np.zeros(off_r)]), L)
-        return w.max(axis=1, where=same_run, initial=-np.inf) - w.min(
-            axis=1, where=same_run, initial=np.inf
-        )
+        out = np.empty(v.shape[0])
+        hi, lo = v.copy(), v.copy()
+        for k, sel in enumerate(by_level):
+            if k:
+                h = 1 << (k - 1)  # a level-k block is two level-(k-1) blocks
+                hi = np.maximum(hi[:-h], hi[h:], out=hi[:-h])
+                lo = np.minimum(lo[:-h], lo[h:], out=lo[:-h])
+            top, bottom = hi[a[sel]], lo[a[sel]]
+            right = b[sel]
+            right -= (1 << k) - 1
+            np.maximum(top, hi[right], out=top)
+            np.minimum(bottom, lo[right], out=bottom)
+            out[sel] = top - bottom
+        return out
 
-    return window_range(xs) + window_range(ys)
+    ranges = window_range(xs)
+    ranges += window_range(ys)
+    return ranges
 
 
 def _turn_angle(xs: np.ndarray, ys: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -271,16 +286,15 @@ def stage2_statistics(
     run_starts = np.flatnonzero(new_run)
     run_ends = np.append(run_starts[1:], m) - 1
     run_id = np.cumsum(new_run) - 1
-    k = np.arange(m)
-    a = np.maximum(run_starts[run_id], k - off_l)
-    b = np.minimum(run_ends[run_id], k + off_r)
+    a = np.maximum(run_starts[run_id], np.arange(-off_l, m - off_l))
+    b = np.minimum(run_ends[run_id], np.arange(off_r, m + off_r))
 
     xs = x[idx]
     ys = y[idx]
     for kind in kinds:
         with np.errstate(over="ignore", invalid="ignore"):
             if kind == "dispersion":
-                stat = _dispersion(xs, ys, run_id, off_l, off_r)
+                stat = _dispersion(xs, ys, a, b)
             elif kind == "turn_angle":
                 stat = _turn_angle(xs, ys, a, b)
             elif kind == "eigen_ratio":

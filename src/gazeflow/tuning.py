@@ -3,20 +3,25 @@
 Thresholds are chosen to maximize macro F1 over the covered frames of a set
 of labeled sequences (typically the validation split). The velocity grid is
 shared by all two-stage baselines; stage-2 statistics are computed once per
-velocity candidate and sequence, as the detectors compute them, and every
-point of the three stage-2 grids is scored from them with one confusion
-count per grid.
+velocity candidate and sequence, as the detectors compute them.
+
+No grid point labels the samples one by one. Each label is a threshold test,
+so the confusion counts of a whole grid come from counting, per true class,
+the samples beyond each grid point: one sort per class and one binary search
+per point. The counts are exact integers, equal to those of the labels the
+detectors give at that point, so every macro F1 and every tuned threshold is
+the one a label-by-label search finds.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .detectors import STAGE2, BaselineConfig, DetectorError, _prepare, stage2_statistics
 from .features import FrontendConfig
-from .gaze import GazeSequence
-from .metrics import confusion_counts, prf_from_counts
+from .gaze import N_CLASSES, GazeSequence
+from .metrics import prf_from_counts
 
 
 def _default_velocity_grid() -> np.ndarray:
@@ -37,10 +42,37 @@ def _default_ratio_grid() -> np.ndarray:
 
 @dataclass(frozen=True)
 class TuningGrids:
+    """Candidate thresholds, searched in the order given (ties go to the
+    earlier one). Each grid is stored as a read-only 1-D float64 array of
+    finite positive values; angles are at most pi."""
+
     velocity: np.ndarray = field(default_factory=_default_velocity_grid)
     dispersion: np.ndarray = field(default_factory=_default_dispersion_grid)
     angle: np.ndarray = field(default_factory=_default_angle_grid)
     pca_ratio: np.ndarray = field(default_factory=_default_ratio_grid)
+
+    def __post_init__(self):
+        for f in fields(self):
+            grid = np.array(getattr(self, f.name), dtype=np.float64)
+            if grid.ndim != 1 or grid.size == 0:
+                raise DetectorError(f"the {f.name} grid must be a non-empty 1-D array, got shape {grid.shape}")
+            if not (np.isfinite(grid).all() and (grid > 0).all()):
+                raise DetectorError(f"the {f.name} grid must hold finite positive thresholds")
+            grid.setflags(write=False)
+            object.__setattr__(self, f.name, grid)
+        if self.angle.max() > np.pi:
+            raise DetectorError("the angle grid must stay at most pi, the largest mean turning angle")
+
+
+def _beyond_counts(truth: np.ndarray, values: np.ndarray, grid: np.ndarray, side: int) -> np.ndarray:
+    """(grid.size, 3) counts: per grid point t and true class c, the samples
+    of class c with side * value > side * t. NaN values never count."""
+    counts = np.empty((grid.size, N_CLASSES), dtype=np.int64)
+    finite = ~np.isnan(values)
+    for c in range(N_CLASSES):
+        v = np.sort(values[finite & (truth == c)])
+        counts[:, c] = v.size - np.searchsorted(v, grid, "right") if side > 0 else np.searchsorted(v, grid, "left")
+    return counts
 
 
 def tune_baselines(
@@ -69,29 +101,33 @@ def tune_baselines(
     covered = [cov for *_, cov in prepared]
     truth = np.concatenate([seq.labels[cov] for seq, cov in zip(sequences, covered)]).astype(np.int64)
     v_cov = np.concatenate([v[cov] for *_, v, cov in prepared])
-    velocity = np.asarray(grids.velocity, dtype=np.float64)
+    n_true = np.bincount(truth, minlength=N_CLASSES)
+    velocity = grids.velocity
 
-    def macro_f1(pred: np.ndarray) -> np.ndarray:
-        return prf_from_counts(confusion_counts(truth, pred)).f1.mean(axis=-1)
+    def macro_f1(sac: np.ndarray, pur: np.ndarray | int = 0) -> np.ndarray:
+        """Macro F1 of labels with sac saccades and pur pursuits per true class, (..., 3)
+        each, and fixations for the rest: (..., 3, 3) counts, row = ground truth."""
+        return prf_from_counts(np.stack(np.broadcast_arrays(n_true - sac - pur, sac, pur), axis=-1)).f1.mean(axis=-1)
 
-    # binary velocity detector: one prediction row per velocity candidate
-    pred = (v_cov > velocity[:, None]).astype(np.int64)  # 0 fix, 1 sac
-    best_v = int(np.argmax(macro_f1(pred)))
+    # saccades (v > tau_v) per velocity candidate and true class; the binary
+    # velocity detector labels every other sample a fixation
+    sac = _beyond_counts(truth, v_cov, velocity, 1)
+    best_v = int(np.argmax(macro_f1(sac)))
     tuned = {
         "ivt": BaselineConfig(velocity_threshold_deg_s=float(velocity[best_v]), window_len=window_len)
     }
 
     # joint velocity x stage-2 sweeps, sharing stage-2 statistics per tau_v
     stage2_grid = {"ivt-idt": grids.dispersion, "ivmp": grids.angle, "pca": grids.pca_ratio}
-    stage2_grid = {name: np.asarray(stage2_grid[name], dtype=np.float64) for name in STAGE2}
     kinds = tuple(kind for kind, _, _ in STAGE2.values())
     f1 = {name: np.empty((velocity.size, grid.size)) for name, grid in stage2_grid.items()}
     for i, tau_v in enumerate(velocity):
         stats = [stage2_statistics(x, y, ~(v > tau_v) & ~bad, window_len, kinds) for x, y, bad, v, _ in prepared]
+        saccade = v_cov > tau_v
         for name, (kind, _, side) in STAGE2.items():
             stat = np.concatenate([st[kind][cov] for st, cov in zip(stats, covered)])
-            pursuit = side * stat > side * stage2_grid[name][:, None]
-            f1[name][i] = macro_f1(np.where(v_cov > tau_v, 1, np.where(pursuit, 2, 0)))
+            stat[saccade] = np.nan  # labeled by the velocity stage
+            f1[name][i] = macro_f1(sac[i], _beyond_counts(truth, stat, stage2_grid[name], side))
 
     for name, (_, field_name, _) in STAGE2.items():
         i, j = np.unravel_index(np.argmax(f1[name]), f1[name].shape)  # first best, row-major

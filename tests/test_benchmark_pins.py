@@ -16,9 +16,10 @@ from pathlib import Path
 
 import numpy as np
 
-from gazeflow import cli, detectors, features, net
+from gazeflow import cli, detectors, features, net, tuning
 from gazeflow.gaze import DatasetSplit, WindowSet
 from gazeflow.gaze_io import write_gaze_csv
+from gazeflow.model_io import save_model
 from gazeflow.simulate import StimulusConfig, generate_corpus
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -87,6 +88,37 @@ def test_train_reaches_the_traced_split_and_featurize_through_module_globals(tmp
     assert kept == len(split.train) + len(split.validation)
     assert tracer.counts["features.featurize_sequence.windows_skipped"] == 100 + 29  # windows over the loss
     assert features.featurize_sequence is featurize and cli.split_dataset is features.split_dataset
+
+
+def test_compare_tunes_through_the_traced_stage2_name(tmp_path):
+    # tuning.tune_baselines.s and the stage-2 call, span and sample counts
+    # wrap cli.tune_baselines and tuning.stage2_statistics
+    tracing = load_tracing()
+    seqs = [t.sequence for t in generate_corpus(StimulusConfig(seed=4, sequence_duration_s=2.0), 8)]
+    data = tmp_path / "data"
+    data.mkdir()
+    for k, seq in enumerate(seqs):
+        write_gaze_csv(seq, data / f"seq-{k:04d}.csv")
+    model = tmp_path / "m.gznn"
+    save_model(net.init_params(0), model)
+    part, _ = features.split_recordings(seqs, features.FrontendConfig(), 3)
+    n_val = int(np.sum(part == 1))
+    modules = (cli, detectors, features, net, tuning)
+    names = [dict(vars(m)) for m in modules]
+    baselines = dict(cli.BASELINE_DETECTORS)
+    tracer = tracing.Tracer()
+    with tracing.patched(tracer):
+        code = cli.main(["compare", "--data-dir", str(data), "--model", str(model),
+                         "--report-dir", str(tmp_path / "r"), "--seed", "3"])
+    assert code == 0 and n_val >= 1
+    assert tracer.durations("tuning.tune_baselines").size == 1
+    velocity_candidates = tuning.TuningGrids().velocity.size
+    assert velocity_candidates == 20
+    assert tracer.durations("detectors.stage2_statistics", "tuning.tune_baselines").size == velocity_candidates * n_val
+    # every name is put back
+    for module, before in zip(modules, names):
+        assert all(getattr(module, k) is v for k, v in before.items()), module.__name__
+    assert cli.BASELINE_DETECTORS == baselines
 
 
 def gazeflow_imports(path):

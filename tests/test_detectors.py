@@ -1,3 +1,5 @@
+import itertools
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -397,7 +399,7 @@ class TestStage2MatchesPerSpanOracle:
     KINDS = ("dispersion", "turn_angle", "eigen_ratio")
 
     @pytest.fixture(scope="class")
-    def cases(self):
+    def spans(self):
         rng = np.random.default_rng(11)
         n = 600
         out = []
@@ -410,8 +412,12 @@ class TestStage2MatchesPerSpanOracle:
             x[300:340:2] = x[301:341:2]
             masks = [random_span_mask(n, rng, touch_ends=bool(k % 2)) for _ in range(3)]
             masks += [np.zeros(n, bool), np.ones(n, bool)] if k == 0 else []
-            out += [(x, y, mask, wl) for mask in masks for wl in (2, 5, 30)]
+            out += [(x, y, mask) for mask in masks]
         return out
+
+    @pytest.fixture(scope="class")
+    def cases(self, spans):
+        return [(x, y, mask, wl) for x, y, mask in spans for wl in (2, 5, 30)]
 
     def test_masks_cover_the_edge_cases(self, cases):
         lengths = set()
@@ -426,8 +432,9 @@ class TestStage2MatchesPerSpanOracle:
         assert {1, 2} <= lengths and min(lengths) < 30 < max(lengths)
         assert touch_first and touch_last and empty and full
 
-    def test_dispersion_bit_identical(self, cases):
-        for x, y, mask, wl in cases:
+    def test_dispersion_bit_identical(self, spans):
+        # widths on both sides of each power of two, where the dispersion's table changes level
+        for (x, y, mask), wl in itertools.product(spans, (2, 3, 4, 5, 8, 16, 17, 30, 31, 32, 33)):
             got = stage2_statistics(x, y, mask, wl, ("dispersion",))["dispersion"]
             want = stage2_oracle(x, y, mask, wl, ("dispersion",))["dispersion"]
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
@@ -447,6 +454,21 @@ class TestStage2MatchesPerSpanOracle:
     def test_unknown_statistic_rejected(self):
         with pytest.raises(DetectorError):
             stage2_statistics(np.zeros(5), np.zeros(5), np.ones(5, bool), 3, ("median",))
+
+    def test_dispersion_peak_memory_holds_one_table_level(self):
+        # a 7-minute recording at 300 Hz, all one span; keeping every level of
+        # the dispersion's table (five for 30 samples) would peak near 25 MB
+        rng = np.random.default_rng(4)
+        n = 126_000
+        x, y = np.cumsum(rng.normal(0, 0.1, (2, n)), axis=1)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            stage2_statistics(x, y, np.ones(n, bool), 30, ("dispersion",))
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= 17.0e6
 
 
 class TestCnnDetect:

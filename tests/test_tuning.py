@@ -1,8 +1,12 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from gazeflow import tuning
 from gazeflow.detectors import (
     BASELINE_DETECTORS,
+    STAGE2,
     BaselineConfig,
     DetectorError,
     concat_outputs,
@@ -11,7 +15,7 @@ from gazeflow.detectors import (
     ivt_idt_detect,
     pca_ratio_detect,
 )
-from gazeflow.metrics import confusion_counts, frame_accuracy
+from gazeflow.metrics import confusion_counts, frame_accuracy, prf_from_counts
 from gazeflow.simulate import StimulusConfig, generate_corpus
 from gazeflow.tuning import TuningGrids, tune_baselines
 
@@ -119,12 +123,49 @@ class TestTuneBaselines:
             tune_baselines([])
 
 
+class TestTuningGrids:
+    def test_grids_stored_as_read_only_float64(self):
+        grids = TuningGrids(velocity=[40, 10, 40])
+        assert grids.velocity.dtype == np.float64 and grids.velocity.tolist() == [40.0, 10.0, 40.0]
+        assert not grids.velocity.flags.writeable and not grids.angle.flags.writeable
+
+    def test_grid_copied_from_the_caller(self):
+        dispersion = np.array([0.5, 1.0])
+        grids = TuningGrids(dispersion=dispersion)
+        dispersion[0] = 9.0
+        assert grids.dispersion.tolist() == [0.5, 1.0]
+
+    def test_empty_grid_rejected(self):
+        with pytest.raises(DetectorError, match="non-empty 1-D"):
+            TuningGrids(dispersion=np.array([]))
+
+    def test_two_dimensional_grid_rejected(self):
+        with pytest.raises(DetectorError, match="non-empty 1-D"):
+            TuningGrids(velocity=np.geomspace(10.0, 300.0, 20).reshape(4, 5))
+
+    def test_nan_grid_point_rejected(self):
+        with pytest.raises(DetectorError, match="finite positive"):
+            TuningGrids(angle=np.array([0.5, np.nan]))
+
+    def test_infinite_grid_point_rejected(self):
+        with pytest.raises(DetectorError, match="finite positive"):
+            TuningGrids(pca_ratio=np.array([2.0, np.inf]))
+
+    def test_non_positive_grid_point_rejected(self):
+        for bad in (0.0, -1.0):
+            with pytest.raises(DetectorError, match="finite positive"):
+                TuningGrids(velocity=np.array([40.0, bad]))
+
+    def test_angle_above_pi_rejected(self):
+        with pytest.raises(DetectorError, match="at most pi"):
+            TuningGrids(angle=np.array([0.5, 1.01 * np.pi]))
+        assert TuningGrids(angle=np.array([np.pi])).angle.tolist() == [np.pi]
+
+
 class TestTuningLabelsAreDetectorLabels:
     def test_sampled_grid_points(self, noiseless_corpus, monkeypatch):
-        # every prediction set that tuning scores, against the detector run
-        # at that grid point on the samples tuning scores
-        from gazeflow import tuning
-
+        # every set of counts that tuning scores, against the confusion counts
+        # of the detector run at that grid point on the samples tuning scores
         noisy = [t.sequence for t in generate_corpus(StimulusConfig(seed=32, sequence_duration_s=4.0), 3)]
         sequences = noiseless_corpus[:3] + noisy
         grids = TuningGrids(
@@ -135,30 +176,126 @@ class TestTuningLabelsAreDetectorLabels:
         )
         scored = []
 
-        def spy(truth, pred):
-            scored.append(np.asarray(pred))
-            return confusion_counts(truth, pred)
+        def spy(counts):
+            scored.append(np.asarray(counts))
+            return prf_from_counts(counts)
 
-        monkeypatch.setattr(tuning, "confusion_counts", spy)
+        monkeypatch.setattr(tuning, "prf_from_counts", spy)
         tune_baselines(sequences, grids)
         cover = [ivt_idt_detect(s).sample_idx for s in sequences]
+        truth = np.concatenate([s.labels[c] for s, c in zip(sequences, cover)])
 
-        def labels(detect, cfg):
-            return np.concatenate([detect(s, cfg).full_labels()[c] for s, c in zip(sequences, cover)])
+        def counts(detect, cfg):
+            labels = np.concatenate([detect(s, cfg).full_labels()[c] for s, c in zip(sequences, cover)])
+            return confusion_counts(truth, labels)
 
-        ivt_pred, stage2_pred = scored[0], scored[1:]
+        ivt_counts, stage2_counts = scored[0], scored[1:]
         for i, tau_v in enumerate(grids.velocity):
             cfg = BaselineConfig(velocity_threshold_deg_s=float(tau_v))
-            assert np.array_equal(ivt_pred[i], labels(ivt_detect, cfg))
+            assert np.array_equal(ivt_counts[i], counts(ivt_detect, cfg))
         searches = [
             (ivt_idt_detect, "dispersion_threshold_deg", grids.dispersion),
             (ivmp_detect, "angle_threshold_rad", grids.angle),
             (pca_ratio_detect, "pca_ratio_threshold", grids.pca_ratio),
         ]
         rng = np.random.default_rng(3)
-        assert len(stage2_pred) == grids.velocity.size * len(searches)
-        for k, pred in enumerate(stage2_pred):
+        assert len(stage2_counts) == grids.velocity.size * len(searches)
+        for k, grid_counts in enumerate(stage2_counts):
             i, (detect, field, grid) = k // len(searches), searches[k % len(searches)]
             for j in rng.choice(grid.size, size=2, replace=False):
                 cfg = BaselineConfig(velocity_threshold_deg_s=float(grids.velocity[i]), **{field: float(grid[j])})
-                assert np.array_equal(pred[j], labels(detect, cfg))
+                assert np.array_equal(grid_counts[j], counts(detect, cfg))
+
+
+def oracle_grid_counts(truth, pred):
+    """Confusion counts of (..., m) prediction sets against one truth: (..., 3, 3)."""
+    truth = np.asarray(truth, dtype=np.int64)
+    pred = np.asarray(pred, dtype=np.int64)
+    lead = pred.shape[:-1]
+    n_sets = int(np.prod(lead))
+    codes = (truth * 3 + pred).reshape(n_sets, pred.shape[-1])
+    codes += 9 * np.arange(n_sets)[:, None]
+    return np.bincount(codes.ravel(), minlength=9 * n_sets).reshape(lead + (3, 3))
+
+
+def oracle_sweep(truth, v, stats, velocity, stage2_grid):
+    """Counts of every grid point from its prediction matrix: ivt (velocity, 3, 3)
+    first, then per velocity candidate one (grid, 3, 3) per cascade, as tuning scores them."""
+    out = [oracle_grid_counts(truth, (v > velocity[:, None]).astype(np.int64))]
+    for i, tau_v in enumerate(velocity):
+        for name, (kind, _, side) in STAGE2.items():
+            pursuit = side * stats[i][kind] > side * stage2_grid[name][:, None]
+            out.append(oracle_grid_counts(truth, np.where(v > tau_v, 1, np.where(pursuit, 2, 0))))
+    return out
+
+
+class TestCountSweepMatchesPredictionOracle:
+    def test_oracle_counts_with_a_leading_grid_axis(self):
+        rng = np.random.default_rng(12)
+        truth = rng.integers(0, 3, 50)
+        preds = rng.integers(0, 3, (2, 4, 50))
+        counts = oracle_grid_counts(truth, preds)
+        assert counts.shape == (2, 4, 3, 3)
+        for idx in np.ndindex(2, 4):
+            expected = np.zeros((3, 3), np.int64)
+            for t, p in zip(truth, preds[idx]):
+                expected[t, p] += 1
+            assert np.array_equal(counts[idx], expected)
+
+    @pytest.mark.parametrize("seed, absent", [(0, None), (1, 0), (2, 1), (3, 2)])
+    def test_counts_and_f1_grids_equal_the_oracle(self, monkeypatch, seed, absent):
+        # random statistics on unsorted grids with repeats, ties with grid
+        # points and NaN; tuning runs on them through its own stage 1 and 2 calls
+        rng = np.random.default_rng(seed)
+        m = 600
+        classes = [c for c in range(3) if c != absent]
+        truth = rng.choice(classes, m).astype(np.int8)
+        velocity = rng.choice([15.0, 40.0, 75.0, 120.0], 7)  # repeats, in no order
+        grids = TuningGrids(
+            velocity=velocity,
+            dispersion=rng.choice([0.3, 0.8, 1.2, 2.5], 6),
+            angle=rng.choice([0.2, 1.0, 2.0, 3.0], 6),
+            pca_ratio=rng.choice([1.5, 4.0, 9.0, 30.0], 6),
+        )
+        stage2_grid = {"ivt-idt": grids.dispersion, "ivmp": grids.angle, "pca": grids.pca_ratio}
+
+        def random_values(grid, high):
+            values = rng.uniform(0.0, high, m)
+            on_grid = rng.random(m) < 0.2
+            values[on_grid] = rng.choice(grid, on_grid.sum())  # exactly on a threshold
+            values[rng.random(m) < 0.1] = np.nan
+            return values
+
+        v = random_values(velocity, 150.0)
+        v[np.isnan(v)] = 0.0  # covered samples have a speed
+        stats = [
+            {kind: random_values(stage2_grid[name], 2 * stage2_grid[name].max()) for name, (kind, _, _) in STAGE2.items()}
+            for _ in velocity
+        ]
+        calls = iter(stats)
+        stage1 = (None, None, np.zeros(m, bool), v, np.arange(m))  # x, y, still_bad, speed, covered
+        monkeypatch.setattr(tuning, "_prepare", lambda seq, window_len, max_gap: stage1)
+        monkeypatch.setattr(tuning, "stage2_statistics", lambda x, y, mask, window_len, kinds: next(calls))
+        scored = []
+
+        def spy(counts):
+            report = prf_from_counts(counts)
+            scored.append((np.asarray(counts), report.f1.mean(axis=-1)))
+            return report
+
+        monkeypatch.setattr(tuning, "prf_from_counts", spy)
+        tuned = tune_baselines([SimpleNamespace(labels=truth, source_id="random")], grids)
+
+        want = oracle_sweep(truth, v, stats, velocity, stage2_grid)
+        assert len(scored) == len(want)
+        for (counts, f1), want_counts in zip(scored, want):
+            assert np.array_equal(counts, want_counts)
+            want_f1 = prf_from_counts(want_counts).f1.mean(axis=-1)
+            assert np.array_equal(f1.view(np.uint64), want_f1.view(np.uint64))
+        # first best in (velocity, stage-2) order
+        assert tuned["ivt"].velocity_threshold_deg_s == velocity[np.argmax(scored[0][1])]
+        for k, (name, (_, field, _)) in enumerate(STAGE2.items()):
+            f1 = np.stack([f for _, f in scored[1 + k :: len(STAGE2)]])
+            i, j = np.unravel_index(np.argmax(f1), f1.shape)
+            assert tuned[name].velocity_threshold_deg_s == velocity[i]
+            assert getattr(tuned[name], field) == stage2_grid[name][j]
