@@ -40,8 +40,10 @@ from .model_io import (
     ModelCorruptError,
     ModelFileError,
     ModelShapeError,
+    ModelSplit,
     ModelVersionError,
     load_model,
+    load_split,
     save_model,
 )
 from .detectors import (

@@ -1,6 +1,7 @@
 """Command-line pipeline: synth -> train -> detect -> eval / compare / trace.
 
-Exit codes: 0 success, 2 usage or configuration error, 3 data error
+Exit codes: 0 success, 2 usage or configuration error (also a model used
+with another corpus or split seed than it was trained with), 3 data error
 (missing or unlabeled input), 4 file-format or alignment error. Every
 command is deterministic given its seed, a non-negative integer; --seed
 falls back to the GAZEFLOW_SEED environment variable, then to 0.
@@ -54,7 +55,7 @@ from .metrics import (
     one_vs_all_auc,
     prf_from_confusion,
 )
-from .model_io import ModelFileError, load_model, save_model
+from .model_io import ModelFileError, ModelSplit, corpus_fingerprint, load_model, load_split, save_model
 from .net import NetworkParams, TrainingError, train
 from .runconfig import ConfigError, RunConfig, build_run_config, load_run_config
 from .simulate import SimulationError, corpus_stats, generate_corpus
@@ -95,13 +96,18 @@ def _load_config(path: str | None, seed: int) -> RunConfig:
     return load_run_config(path, seed=seed)
 
 
-def _read_corpus(data_dir: str) -> list[GazeSequence]:
+def _corpus_files(data_dir: str) -> list[Path]:
+    """The recordings of a corpus: its *.csv files, sorted."""
     d = Path(data_dir)
     if not d.is_dir():
         raise CliError(EXIT_DATA, f"data directory not found: {data_dir}")
-    files = sorted(p for p in d.glob("*.csv"))
+    files = sorted(d.glob("*.csv"))
     if not files:
         raise CliError(EXIT_DATA, f"no CSV files in {data_dir}")
+    return files
+
+
+def _read_labeled(files: list[Path]) -> list[GazeSequence]:
     seqs = []
     for p in files:
         seq = read_gaze_csv(p)
@@ -109,6 +115,24 @@ def _read_corpus(data_dir: str) -> list[GazeSequence]:
             raise CliError(EXIT_DATA, f"{p}: sequence has no labels")
         seqs.append(seq)
     return seqs
+
+
+def _check_stored_split(split: ModelSplit, files: list[Path], args: argparse.Namespace, seed: int) -> None:
+    """Exit 2 unless compare runs on the corpus and seed the model's split was made from."""
+    n_files, crc = corpus_fingerprint(files)
+    if (n_files, crc) != (split.n_files, split.corpus_crc) or not {p.name for p in files}.issuperset(
+        split.validation + split.test
+    ):
+        raise CliError(
+            EXIT_USAGE,
+            f"the recordings in {args.data_dir} ({n_files} CSV files, CRC-32 {crc:#010x}) are not the corpus "
+            f"model {args.model} was trained on ({split.n_files} files, CRC-32 {split.corpus_crc:#010x})",
+        )
+    given = "--seed" if args.seed is not None else "GAZEFLOW_SEED" if "GAZEFLOW_SEED" in os.environ else None
+    if given is not None and seed != split.seed:
+        raise CliError(
+            EXIT_USAGE, f"{given} {seed} differs from the split seed {split.seed} stored in model {args.model}"
+        )
 
 
 def _load_model(path: str, frontend: FrontendConfig) -> NetworkParams:
@@ -151,10 +175,13 @@ def cmd_synth(args: argparse.Namespace) -> int:
 def cmd_train(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args.seed)
     cfg = _load_config(args.config, seed)
-    seqs = _read_corpus(args.data_dir)
+    files = _corpus_files(args.data_dir)
+    seqs = _read_labeled(files)
     split = split_dataset(seqs, cfg.frontend, seed)
     params, history = train(split, cfg.train)
-    save_model(params, args.out)
+    # the split decided above, for compare: its seed, the corpus and the validation and test names
+    val, test = (tuple(p.name for p, k in zip(files, split.part) if k == part) for part in (1, 2))
+    save_model(params, args.out, ModelSplit(seed, *corpus_fingerprint(files), val, test))
     write_history_csv(history.records, str(args.out) + ".history.csv")
     best = max((r.val_accuracy for r in history.records), default=float("nan"))
     print(f"model written to {args.out}")
@@ -273,11 +300,19 @@ def cmd_compare(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args.seed)
     cfg = _load_config(args.config, seed)
     model = _load_model(args.model, cfg.frontend)
-    seqs = _read_corpus(args.data_dir)
+    stored = load_split(args.model)
+    files = _corpus_files(args.data_dir)
     # the split train made: tune on its validation recordings, score its test recordings
-    part, _ = split_recordings(seqs, cfg.frontend, seed)
-    val_seqs = [s for s, k in zip(seqs, part) if k == 1]
-    test_seqs = [s for s, k in zip(seqs, part) if k == 2]
+    if stored is None:  # a model saved without its split: derive the split from the seed
+        seqs = _read_labeled(files)
+        part, _ = split_recordings(seqs, cfg.frontend, seed)
+        val_seqs = [s for s, k in zip(seqs, part) if k == 1]
+        test_seqs = [s for s, k in zip(seqs, part) if k == 2]
+    else:  # read only the recordings the stored split names
+        _check_stored_split(stored, files, args, seed)
+        by_name = {p.name: p for p in files}
+        val_seqs = _read_labeled([by_name[name] for name in stored.validation])
+        test_seqs = _read_labeled([by_name[name] for name in stored.test])
 
     max_gap = cfg.frontend.interp_max_gap
     tuned = tune_baselines(val_seqs, window_len=cfg.baselines.window_len, max_gap=max_gap)

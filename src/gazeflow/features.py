@@ -180,7 +180,8 @@ def split_dataset(
     is computed. Each train and validation recording is then featurized
     once and copied whole into its part, in recording order; the test
     recordings are never featurized. Window labels are taken from the
-    center sample and groups carry the index of the source sequence.
+    center sample and groups carry the index of the source sequence, and
+    the split's part holds split_recordings' decision per recording.
     Unlabeled sequences raise FeatureError, as does a set with too few
     recordings that keep a window.
     """
@@ -204,4 +205,4 @@ def split_dataset(
         ws.labels[lo:hi] = seq.labels[centers]
         ws.groups[lo:hi] = gi
         filled[k] = hi
-    return DatasetSplit(train=parts[0], validation=parts[1])
+    return DatasetSplit(train=parts[0], validation=parts[1], part=part)

@@ -147,11 +147,14 @@ class DatasetSplit:
     (features.split_dataset): every window of a recording lies in one part.
 
     The test recordings are never featurized: features.split_recordings
-    holds them out, and compare scores them.
+    holds them out, and compare scores them. part holds the part of each
+    recording as split_recordings decided it (0 train, 1 validation,
+    2 test, -1 without a window), or None for a split built by hand.
     """
 
     train: WindowSet
     validation: WindowSet
+    part: np.ndarray | None = None
 
 
 DEFAULT_SPLIT_RATIOS = (0.75, 0.125, 0.125)

@@ -63,6 +63,15 @@ class TuningGrids:
         if self.angle.max() > np.pi:
             raise DetectorError("the angle grid must stay at most pi, the largest mean turning angle")
 
+    # grids compare by value; the frozen read-only grids make their bytes a safe hash
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+
+    def __hash__(self):
+        return hash(tuple(getattr(self, f.name).tobytes() for f in fields(self)))
+
 
 def _beyond_counts(truth: np.ndarray, values: np.ndarray, grid: np.ndarray, side: int) -> np.ndarray:
     """(grid.size, 3) counts: per grid point t and true class c, the samples

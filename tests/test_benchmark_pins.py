@@ -19,7 +19,7 @@ import numpy as np
 from gazeflow import cli, detectors, features, net, tuning
 from gazeflow.gaze import DatasetSplit, WindowSet
 from gazeflow.gaze_io import write_gaze_csv
-from gazeflow.model_io import save_model
+from gazeflow.model_io import load_model, save_model
 from gazeflow.simulate import StimulusConfig, generate_corpus
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -119,6 +119,37 @@ def test_compare_tunes_through_the_traced_stage2_name(tmp_path):
     for module, before in zip(modules, names):
         assert all(getattr(module, k) is v for k, v in before.items()), module.__name__
     assert cli.BASELINE_DETECTORS == baselines
+
+
+def test_compare_reads_only_the_recordings_the_stored_split_names(tmp_path):
+    # gaze_io.read_gaze_csv.rows_per_s and model_io.load_model.ms wrap
+    # cli.read_gaze_csv and cli.load_model: a compare with a model that
+    # stores its split reads its validation and test recordings only
+    tracing = load_tracing()
+    seqs = [t.sequence for t in generate_corpus(StimulusConfig(seed=4, sequence_duration_s=2.0), 8)]
+    data = tmp_path / "data"
+    data.mkdir()
+    for k, seq in enumerate(seqs):
+        write_gaze_csv(seq, data / f"seq-{k:04d}.csv")
+    cfg = tmp_path / "train.ini"
+    cfg.write_text("[training]\nsplit_level = sequence\nphase1_epochs = 1\nphase2_epochs = 0\n")
+    model, bare = tmp_path / "m.gznn", tmp_path / "bare.gznn"
+    assert cli.main(["train", "--data-dir", str(data), "--config", str(cfg), "--out", str(model), "--seed", "3"]) == 0
+    save_model(load_model(model), bare)  # the same weights without a split
+    modules = (cli, detectors, features, net, tuning)
+    names = [dict(vars(m)) for m in modules]
+    for path, reads in ((model, 2), (bare, 8)):
+        tracer = tracing.Tracer()
+        with tracing.patched(tracer):
+            code = cli.main(["compare", "--data-dir", str(data), "--model", str(path),
+                             "--report-dir", str(tmp_path / "r"), "--seed", "3"])
+        assert code == 0
+        assert tracer.durations("gaze_io.read_gaze_csv").size == reads, path.name
+        assert tracer.durations("model_io.load_model").size == 1
+        assert tracer.counts["gaze_io.read_gaze_csv.rows"] == reads * len(seqs[0])
+        # every name is put back
+        for module, before in zip(modules, names):
+            assert all(getattr(module, k) is v for k, v in before.items()), module.__name__
 
 
 def gazeflow_imports(path):

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import struct
@@ -12,7 +13,7 @@ import pytest
 import gazeflow.cli as cli
 from gazeflow.cli import main
 from gazeflow.detectors import BASELINE_DETECTORS, DetectorOutput, cnn_detect
-from gazeflow.features import split_dataset
+from gazeflow.features import FrontendConfig, split_dataset, split_recordings
 from gazeflow.gaze import CLASS_NAMES, GazeSequence, LabelClass, events_from_labels
 from gazeflow.gaze_io import read_gaze_csv, read_manifest, read_predictions_csv, write_gaze_csv
 from gazeflow.metrics import (
@@ -23,7 +24,7 @@ from gazeflow.metrics import (
     one_vs_all_auc,
     prf_from_confusion,
 )
-from gazeflow.model_io import load_model, model_crc, save_model
+from gazeflow.model_io import corpus_fingerprint, load_model, load_split, model_crc, save_model
 from gazeflow.net import init_params, train
 from gazeflow.simulate import StimulusConfig, generate_sequence
 from gazeflow.tuning import tune_baselines
@@ -591,6 +592,144 @@ class TestCompare:
         assert code in (3, 4)  # unreadable model file
 
 
+MODEL_V1 = Path(__file__).resolve().parent / "data" / "model_v1.gznn"  # init_params(1234), format 1
+
+
+def counted_reads(monkeypatch) -> list:
+    """Record the path of every read_gaze_csv call the CLI makes."""
+    reads = []
+
+    def spy(path):
+        reads.append(Path(path).name)
+        return read_gaze_csv(path)
+
+    monkeypatch.setattr(cli, "read_gaze_csv", spy)
+    return reads
+
+
+class TestStoredSplit:
+    """compare scores the split train stored in the model, and only on the corpus and seed it was made from."""
+
+    @pytest.fixture()
+    def trained(self, tmp_path, tiny_config, monkeypatch):
+        monkeypatch.delenv("GAZEFLOW_SEED", raising=False)
+        data = synth(tmp_path, tiny_config, n=9, seed=6)
+        model = tmp_path / "model.gznn"
+        assert main(["train", "--data-dir", str(data), "--config", tiny_config, "--out", str(model), "--seed", "6"]) == 0
+        return data, model
+
+    def compare(self, data, model, report, *extra):
+        return main(["compare", "--data-dir", str(data), "--model", str(model), "--report-dir", str(report), *extra])
+
+    def test_train_stores_the_split_it_trained_with(self, trained):
+        data, model = trained
+        files = sorted(data.glob("*.csv"))
+        part, _ = split_recordings([read_gaze_csv(p) for p in files], FrontendConfig(), 6)
+        split = load_split(model)
+        assert split.seed == 6 and (split.n_files, split.corpus_crc) == corpus_fingerprint(files)
+        assert split.validation == tuple(p.name for p, k in zip(files, part) if k == 1)
+        assert split.test == tuple(p.name for p, k in zip(files, part) if k == 2)
+        assert len(split.validation) == len(split.test) == 1
+
+    def test_stored_split_reports_equal_the_derived_split(self, trained, tmp_path, monkeypatch):
+        data, model = trained
+        bare = tmp_path / "bare.gznn"
+        save_model(load_model(model), bare)  # the same weights, saved without a split
+        reads = counted_reads(monkeypatch)
+        assert self.compare(data, model, tmp_path / "stored", "--seed", "6") == 0
+        stored_reads, reads[:] = list(reads), []
+        assert self.compare(data, bare, tmp_path / "derived", "--seed", "6") == 0
+        assert len(stored_reads) == 2 and len(reads) == 9
+        assert self.compare(data, model, tmp_path / "no-seed") == 0  # the stored seed
+        for name in ("comparison.csv", "tuned_thresholds.json"):
+            derived = (tmp_path / "derived" / name).read_bytes()
+            assert (tmp_path / "stored" / name).read_bytes() == derived
+            assert (tmp_path / "no-seed" / name).read_bytes() == derived
+
+    @pytest.mark.parametrize("source", ["--seed", "GAZEFLOW_SEED"])
+    def test_other_seed_exit2(self, trained, tmp_path, capsys, monkeypatch, source):
+        data, model = trained
+        reads = counted_reads(monkeypatch)
+        if source == "GAZEFLOW_SEED":
+            monkeypatch.setenv("GAZEFLOW_SEED", "5")
+            extra = []
+        else:
+            extra = ["--seed", "5"]
+        capsys.readouterr()
+        assert self.compare(data, model, tmp_path / "r", *extra) == 2
+        line = one_error_line(capsys)
+        assert f"{source} 5 differs from the split seed 6" in line and str(model) in line
+        assert not (tmp_path / "r").exists() and reads == []
+
+    @pytest.mark.parametrize("change", ["byte", "added", "removed"])
+    def test_other_corpus_exit2(self, trained, tmp_path, capsys, monkeypatch, change):
+        data, model = trained
+        split = load_split(model)
+        training = [p for p in sorted(data.glob("*.csv")) if p.name not in split.validation + split.test]
+        if change == "byte":  # one digit of one coordinate of a training recording
+            blob = bytearray(training[0].read_bytes())
+            i = blob.index(b".", blob.index(b"\n")) + 1
+            blob[i] = ord("1") if blob[i] != ord("1") else ord("2")
+            training[0].write_bytes(bytes(blob))
+            read_gaze_csv(training[0])  # still a valid recording
+        elif change == "added":
+            (data / "seq-9999.csv").write_bytes(training[0].read_bytes())
+        else:
+            training[-1].unlink()
+        reads = counted_reads(monkeypatch)
+        capsys.readouterr()
+        assert self.compare(data, model, tmp_path / "r", "--seed", "6") == 2
+        line = one_error_line(capsys)
+        assert str(data) in line and "not the corpus" in line
+        assert not (tmp_path / "r").exists() and reads == []
+
+    def test_split_naming_a_missing_recording_exit2(self, trained, tmp_path, capsys):
+        # a split record rewritten with its checksum: the fingerprint matches, a name does not
+        data, model = trained
+        body = model.read_bytes()[: 32 + 8 * init_params(0).vector.size + 4]
+        record = json.loads(model.read_bytes()[len(body) + 4 : -4])
+        record["validation"] = ["seq-9999.csv"]
+        text = json.dumps(record).encode()
+        model.write_bytes(body + struct.pack("<I", len(text)) + text + struct.pack("<I", zlib.crc32(text)))
+        capsys.readouterr()
+        assert self.compare(data, model, tmp_path / "r") == 2
+        assert "not the corpus" in one_error_line(capsys)
+        assert not (tmp_path / "r").exists()
+
+
+class TestFormat1Model:
+    """A committed format 1 model still loads, labels and compares."""
+
+    def test_detect_writes_the_format1_bytes(self, tmp_path):
+        seq = generate_sequence(StimulusConfig(sequence_duration_s=2.0, seed=2), 0).sequence
+        write_gaze_csv(seq, tmp_path / "g.csv")
+        assert main(["detect", "--model", str(MODEL_V1), "--in", str(tmp_path / "g.csv"), "--out", str(tmp_path / "p.csv")]) == 0
+        # sha256 written by the format 1 reader
+        assert hashlib.sha256((tmp_path / "p.csv").read_bytes()).hexdigest() == (
+            "f2a6ab1f874388d757806ad5213a1f1581a8857274c73675034c7da9a5a92222"
+        )
+
+    def test_compare_derives_the_split_from_the_seed(self, tmp_path, tiny_config, capsys, monkeypatch):
+        data = synth(tmp_path, tiny_config, n=8, seed=6)
+        reads = counted_reads(monkeypatch)
+        tuned = []
+
+        def spy_tune(seqs, **kwargs):
+            tuned.extend(s.source_id for s in seqs)
+            return tune_baselines(seqs, **kwargs)
+
+        monkeypatch.setattr(cli, "tune_baselines", spy_tune)
+        capsys.readouterr()
+        assert main(["compare", "--data-dir", str(data), "--model", str(MODEL_V1), "--report-dir",
+                     str(tmp_path / "r"), "--seed", "6"]) == 0
+        assert capsys.readouterr().err == ""
+        assert len(reads) == 8  # every recording, to derive the split
+        files = sorted(data.glob("*.csv"))
+        part, _ = split_recordings([read_gaze_csv(p) for p in files], FrontendConfig(), 6)
+        assert tuned == [p.stem for p, k in zip(files, part) if k == 1]
+        assert (tmp_path / "r" / "comparison.csv").exists()
+
+
 class TestBaselineRepairGap:
     """The baselines repair gaps up to [frontend] interp_max_gap, as the frontend does."""
 
@@ -732,8 +871,9 @@ class TestUnreadableInputs:
     def test_model_with_non_finite_weight_exit4(self, untrained, tmp_path, capsys):
         data, model, _ = untrained
         blob = bytearray(model.read_bytes())
+        end = 32 + 8 * init_params(0).vector.size  # the payload CRC follows the weights
         struct.pack_into("<d", blob, 32, float("nan"))  # the first weight, after the 32-byte header
-        struct.pack_into("<I", blob, len(blob) - 4, zlib.crc32(blob[32:-4]))
+        struct.pack_into("<I", blob, end, zlib.crc32(blob[32:end]))
         model.write_bytes(bytes(blob))
         out = tmp_path / "p.csv"
         capsys.readouterr()

@@ -2,7 +2,8 @@
 
 Each example writes random bytes, a truncation or a one-byte mutation of a
 valid gaze CSV, predictions CSV, config or model file and runs the CLI on
-it. Whatever the bytes, `main` returns 0, 2, 3 or 4 and never raises. A
+it. The models are a split-less one and one that `train` wrote with the
+split of a tiny corpus, whose split record is damaged too. Whatever the bytes, `main` returns 0, 2, 3 or 4 and never raises. A
 second strategy writes well-formed gaze CSVs whose finite coordinates reach
 +-1e308, where speeds, features and stage-2 statistics overflow; the suite
 turns a RuntimeWarning into an error, so each overflow must be caught.
@@ -20,7 +21,7 @@ from gazeflow.gaze import GazeSequence
 from gazeflow.gaze_io import write_gaze_csv
 from gazeflow.model_io import save_model
 from gazeflow.net import init_params
-from gazeflow.simulate import StimulusConfig, generate_sequence
+from gazeflow.simulate import StimulusConfig, generate_corpus, generate_sequence
 
 DOCUMENTED_EXIT_CODES = {0, 2, 3, 4}
 
@@ -45,22 +46,35 @@ def files(tmp_path_factory):
     save_model(init_params(0), d / "model.gznn")
     (d / "run.cfg").write_text(VALID_CONFIG, encoding="utf-8")
     assert main(["detect", "--baseline", "ivmp", "--in", str(d / "gaze.csv"), "--out", str(d / "preds.csv")]) == 0
+    (d / "corpus").mkdir()
+    for k, trace in enumerate(generate_corpus(StimulusConfig(sequence_duration_s=2.0, seed=3), 8)):
+        write_gaze_csv(trace.sequence, d / "corpus" / f"seq-{k:04d}.csv")
+    (d / "train.cfg").write_text("[training]\nphase1_epochs = 1\nphase2_epochs = 0\n", encoding="utf-8")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["train", "--data-dir", str(d / "corpus"), "--config", str(d / "train.cfg"),
+                     "--out", str(d / "split-model.gznn"), "--seed", "1"]) == 0
+        assert main(["compare", "--data-dir", str(d / "corpus"), "--model", str(d / "split-model.gznn"),
+                     "--report-dir", str(d / "report")]) == 0
     return d
 
 
-def damaged(valid: bytes):
-    """Random bytes, a truncation or a one-byte mutation of valid."""
-    return st.one_of(
-        st.binary(max_size=400),
-        st.integers(0, len(valid)).map(lambda k: valid[:k]),
-        st.tuples(st.integers(0, len(valid) - 1), st.integers(0, 255)).map(
-            lambda m: valid[: m[0]] + bytes([m[1]]) + valid[m[0] + 1 :]
-        ),
-    )
+def damaged(valid: bytes, tail: int = 0):
+    """Random bytes, a truncation or a one-byte mutation of valid; with tail,
+    also a truncation or one-byte mutation inside its last tail bytes."""
+
+    def mutations(lo: int):
+        return st.one_of(
+            st.integers(lo, len(valid)).map(lambda k: valid[:k]),
+            st.tuples(st.integers(lo, len(valid) - 1), st.integers(0, 255)).map(
+                lambda m: valid[: m[0]] + bytes([m[1]]) + valid[m[0] + 1 :]
+            ),
+        )
+
+    return st.one_of(st.binary(max_size=400), mutations(0), *([mutations(len(valid) - tail)] if tail else []))
 
 
 # argv per file kind; FUZZ is the damaged file, the other files are valid
-FILES = {"gaze.csv", "preds.csv", "model.gznn", "out.csv", "report"}
+FILES = {"gaze.csv", "preds.csv", "model.gznn", "out.csv", "report", "corpus"}
 COMMANDS = {
     "gaze.csv": [
         ["detect", "--model", "model.gznn", "--in", "FUZZ", "--out", "out.csv"],
@@ -80,6 +94,10 @@ COMMANDS = {
     "model.gznn": [
         ["detect", "--model", "FUZZ", "--in", "gaze.csv", "--out", "out.csv"],
     ],
+    "split-model.gznn": [
+        ["detect", "--model", "FUZZ", "--in", "gaze.csv", "--out", "out.csv"],
+        ["compare", "--data-dir", "corpus", "--model", "FUZZ", "--report-dir", "report"],
+    ],
 }
 
 
@@ -87,9 +105,11 @@ COMMANDS = {
 def test_damaged_file_ends_in_documented_exit_code(files, kind):
     valid = (files / kind).read_bytes()
     fuzz = files / f"fuzz-{kind}"
+    # the split section of a model follows the 2,700-byte body of format 1
+    tail = len(valid) - (32 + 8 * init_params(0).vector.size + 4) if kind == "split-model.gznn" else 0
 
     @settings(max_examples=50, deadline=None, database=None)
-    @given(data=damaged(valid), command=st.sampled_from(COMMANDS[kind]))
+    @given(data=damaged(valid, tail), command=st.sampled_from(COMMANDS[kind]))
     def run(data, command):
         fuzz.write_bytes(data)
         argv = [str(fuzz) if a == "FUZZ" else str(files / a) if a in FILES else a for a in command]

@@ -161,6 +161,25 @@ class TestTuningGrids:
             TuningGrids(angle=np.array([0.5, 1.01 * np.pi]))
         assert TuningGrids(angle=np.array([np.pi])).angle.tolist() == [np.pi]
 
+    def test_equal_grids_compare_equal_and_hash_alike(self):
+        a = TuningGrids()
+        b = TuningGrids(velocity=list(np.geomspace(10.0, 300.0, 20)), angle=TuningGrids().angle.copy())
+        assert a == b and not a != b
+        assert hash(a) == hash(b)
+
+    @pytest.mark.parametrize("name", ["velocity", "dispersion", "angle", "pca_ratio"])
+    def test_grids_differing_in_one_field_compare_unequal(self, name):
+        grid = getattr(TuningGrids(), name)
+        for other in (grid[:-1], grid[::-1], np.where(np.arange(grid.size) == 3, grid * 0.999, grid)):
+            assert TuningGrids() != TuningGrids(**{name: other})
+        assert TuningGrids() != SimpleNamespace(**{f: getattr(TuningGrids(), f) for f in ("velocity", "dispersion")})
+
+    def test_grids_as_dict_keys(self):
+        cache = {TuningGrids(): "default", TuningGrids(velocity=[40.0]): "one velocity"}
+        assert cache[TuningGrids()] == "default"
+        assert cache[TuningGrids(velocity=np.array([40]))] == "one velocity"
+        assert len({TuningGrids(), TuningGrids(), TuningGrids(velocity=[40.0])}) == 2
+
 
 class TestTuningLabelsAreDetectorLabels:
     def test_sampled_grid_points(self, noiseless_corpus, monkeypatch):
