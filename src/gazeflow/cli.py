@@ -3,8 +3,8 @@
 Exit codes: 0 success, 2 usage or configuration error (also a model used
 with another corpus or split seed than it was trained with), 3 data error
 (missing or unlabeled input), 4 file-format or alignment error. Every
-command is deterministic given its seed, a non-negative integer; --seed
-falls back to the GAZEFLOW_SEED environment variable, then to 0.
+command is deterministic given its seed, a non-negative integer. For every
+command but trace, main resolves --config and --seed (else GAZEFLOW_SEED, else 0).
 """
 from __future__ import annotations
 
@@ -73,19 +73,20 @@ class CliError(Exception):
         self.code = code
 
 
-def _resolve_seed(value: int | None) -> int:
-    name = "--seed"
+def _resolve_seed(value: int | None) -> tuple[int, str | None]:
+    """The seed and where it came from: --seed, GAZEFLOW_SEED, or None for the default 0."""
+    given = "--seed"
     if value is None:
-        name, env = "GAZEFLOW_SEED", os.environ.get("GAZEFLOW_SEED")
+        given, env = "GAZEFLOW_SEED", os.environ.get("GAZEFLOW_SEED")
         if env is None:
-            return 0
+            return 0, None
         try:
             value = int(env)
         except ValueError:
             raise CliError(EXIT_USAGE, f"GAZEFLOW_SEED must be an integer, got {env!r}") from None
     if value < 0:
-        raise CliError(EXIT_USAGE, f"{name} must be a non-negative integer, got {value}")
-    return value
+        raise CliError(EXIT_USAGE, f"{given} must be a non-negative integer, got {value}")
+    return value, given
 
 
 def _load_config(path: str | None, seed: int) -> RunConfig:
@@ -118,7 +119,7 @@ def _read_labeled(files: list[Path]) -> list[GazeSequence]:
 
 
 def _check_stored_split(split: ModelSplit, files: list[Path], args: argparse.Namespace, seed: int) -> None:
-    """Exit 2 unless compare runs on the corpus and seed the model's split was made from."""
+    """Exit 2 unless compare runs on the split's corpus, and on its seed if --seed or GAZEFLOW_SEED set one."""
     n_files, crc = corpus_fingerprint(files)
     if (n_files, crc) != (split.n_files, split.corpus_crc) or not {p.name for p in files}.issuperset(
         split.validation + split.test
@@ -128,10 +129,10 @@ def _check_stored_split(split: ModelSplit, files: list[Path], args: argparse.Nam
             f"the recordings in {args.data_dir} ({n_files} CSV files, CRC-32 {crc:#010x}) are not the corpus "
             f"model {args.model} was trained on ({split.n_files} files, CRC-32 {split.corpus_crc:#010x})",
         )
-    given = "--seed" if args.seed is not None else "GAZEFLOW_SEED" if "GAZEFLOW_SEED" in os.environ else None
-    if given is not None and seed != split.seed:
+    if args.seed_given is not None and seed != split.seed:
         raise CliError(
-            EXIT_USAGE, f"{given} {seed} differs from the split seed {split.seed} stored in model {args.model}"
+            EXIT_USAGE,
+            f"{args.seed_given} {seed} differs from the split seed {split.seed} stored in model {args.model}",
         )
 
 
@@ -150,11 +151,9 @@ def _load_model(path: str, frontend: FrontendConfig) -> NetworkParams:
 # commands
 
 
-def cmd_synth(args: argparse.Namespace) -> int:
+def cmd_synth(args: argparse.Namespace, cfg: RunConfig, seed: int) -> int:
     if args.sequences < 1:
         raise CliError(EXIT_USAGE, "--sequences must be >= 1")
-    seed = _resolve_seed(args.seed)
-    cfg = _load_config(args.config, seed)
     out_dir = Path(args.out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -172,16 +171,15 @@ def cmd_synth(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_train(args: argparse.Namespace) -> int:
-    seed = _resolve_seed(args.seed)
-    cfg = _load_config(args.config, seed)
+def cmd_train(args: argparse.Namespace, cfg: RunConfig, seed: int) -> int:
     files = _corpus_files(args.data_dir)
+    corpus = corpus_fingerprint(files)  # of the bytes about to be parsed, not of what is there after training
     seqs = _read_labeled(files)
     split = split_dataset(seqs, cfg.frontend, seed)
     params, history = train(split, cfg.train)
     # the split decided above, for compare: its seed, the corpus and the validation and test names
     val, test = (tuple(p.name for p, k in zip(files, split.part) if k == part) for part in (1, 2))
-    save_model(params, args.out, ModelSplit(seed, *corpus_fingerprint(files), val, test))
+    save_model(params, args.out, ModelSplit(seed, *corpus, val, test))
     write_history_csv(history.records, str(args.out) + ".history.csv")
     best = max((r.val_accuracy for r in history.records), default=float("nan"))
     print(f"model written to {args.out}")
@@ -189,9 +187,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_detect(args: argparse.Namespace) -> int:
-    seed = _resolve_seed(args.seed)
-    cfg = _load_config(args.config, seed)
+def cmd_detect(args: argparse.Namespace, cfg: RunConfig, seed: int) -> int:
     seq = read_gaze_csv(args.infile)
     if args.model is not None:
         model = _load_model(args.model, cfg.frontend)
@@ -277,9 +273,7 @@ def _eval_reports(
     return summary
 
 
-def cmd_eval(args: argparse.Namespace) -> int:
-    seed = _resolve_seed(args.seed)
-    cfg = _load_config(args.config, seed)
+def cmd_eval(args: argparse.Namespace, cfg: RunConfig, seed: int) -> int:
     preds = read_predictions_csv(args.preds)
     truth_seq = read_gaze_csv(args.truth)
     if truth_seq.labels is None:
@@ -296,9 +290,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_compare(args: argparse.Namespace) -> int:
-    seed = _resolve_seed(args.seed)
-    cfg = _load_config(args.config, seed)
+def cmd_compare(args: argparse.Namespace, cfg: RunConfig, seed: int) -> int:
     model = _load_model(args.model, cfg.frontend)
     stored = load_split(args.model)
     files = _corpus_files(args.data_dir)
@@ -387,45 +379,38 @@ def build_parser() -> argparse.ArgumentParser:
         description="Detect fixations, saccades and smooth pursuits in 2-D gaze streams.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    seeded = argparse.ArgumentParser(add_help=False)  # the flags of every command but trace
+    seeded.add_argument("--config", help="run configuration file")
+    seeded.add_argument("--seed", type=int, default=None, help="default: GAZEFLOW_SEED, then 0")
 
-    p = sub.add_parser("synth", help="generate a labeled synthetic corpus")
-    p.add_argument("--config", help="run configuration file")
+    p = sub.add_parser("synth", parents=[seeded], help="generate a labeled synthetic corpus")
     p.add_argument("--out-dir", required=True, help="output directory for CSVs + manifest")
     p.add_argument("--sequences", type=int, required=True, help="number of sequences")
-    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("train", help="train the detector network on labeled CSVs")
+    p = sub.add_parser("train", parents=[seeded], help="train the detector network on labeled CSVs")
     p.add_argument("--data-dir", required=True)
-    p.add_argument("--config", help="run configuration file")
     p.add_argument("--out", required=True, help="output model file (.gznn)")
-    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("detect", help="label one sequence with a model or baseline")
+    p = sub.add_parser("detect", parents=[seeded], help="label one sequence with a model or baseline")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--model", help="trained model file")
     group.add_argument("--baseline", choices=sorted(BASELINE_DETECTORS))
     p.add_argument("--in", dest="infile", required=True, help="input gaze CSV")
     p.add_argument("--out", required=True, help="output predictions CSV")
-    p.add_argument("--config", help="run configuration file")
-    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_detect)
 
-    p = sub.add_parser("eval", help="score predictions against ground truth")
+    p = sub.add_parser("eval", parents=[seeded], help="score predictions against ground truth")
     p.add_argument("--preds", required=True)
     p.add_argument("--truth", required=True, help="labeled gaze CSV")
     p.add_argument("--report-dir", required=True)
-    p.add_argument("--config", help="run configuration file")
-    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("compare", help="tuned baselines vs the trained network")
+    p = sub.add_parser("compare", parents=[seeded], help="tuned baselines vs the trained network")
     p.add_argument("--data-dir", required=True, help="labeled corpus directory")
     p.add_argument("--model", required=True)
     p.add_argument("--report-dir", required=True)
-    p.add_argument("--config", help="run configuration file")
-    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("trace", help="join gaze data and predictions for plotting")
@@ -444,7 +429,10 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        if "seed" not in args:  # trace: no config, no seed
+            return args.func(args)
+        seed, args.seed_given = _resolve_seed(args.seed)  # seed_given: "--seed", "GAZEFLOW_SEED" or None
+        return args.func(args, _load_config(args.config, seed), seed)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

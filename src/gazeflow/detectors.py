@@ -195,6 +195,13 @@ def _dispersion(xs: np.ndarray, ys: np.ndarray, a: np.ndarray, b: np.ndarray) ->
     return ranges
 
 
+def _window_sums(v: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per-sample sum of v over the window [a, b] (empty when b < a), as a
+    difference of prefix sums; the prefix array is freed on return."""
+    csum = np.concatenate([[0], np.cumsum(v)])
+    return csum[b + 1] - csum[a]
+
+
 def _turn_angle(xs: np.ndarray, ys: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Per-sample mean absolute turning angle between successive displacements.
 
@@ -212,12 +219,10 @@ def _turn_angle(xs: np.ndarray, ys: np.ndarray, a: np.ndarray, b: np.ndarray) ->
     cross = dx[:-1] * dy[1:] - dy[:-1] * dx[1:]
     ang = np.zeros(valid.shape[0])
     ang[:-2] = np.where(valid[:-2], np.abs(np.arctan2(cross, dot)), 0.0)
-    csum_ang = np.concatenate([[0.0], np.cumsum(ang)])
-    csum_cnt = np.concatenate([[0], np.cumsum(valid, dtype=np.int64)])
 
     hi = np.maximum(b - 2, a - 1)  # last pair index in window, or a-1 when none
-    total = csum_ang[hi + 1] - csum_ang[a]
-    count = csum_cnt[hi + 1] - csum_cnt[a]
+    total = _window_sums(ang, a, hi)
+    count = _window_sums(valid, a, hi)
     return np.where(count > 0, total / np.maximum(count, 1), np.pi)
 
 
@@ -246,16 +251,12 @@ def _eigen_ratio(
     run_len = np.diff(np.append(run_starts, xs.shape[0]))
     xc = xs - (np.add.reduceat(xs, run_starts) / run_len)[run_id]
     yc = ys - (np.add.reduceat(ys, run_starts) / run_len)[run_id]
-    cx, cy, cxx, cyy, cxy = (
-        np.concatenate([[0.0], np.cumsum(v)]) for v in (xc, yc, xc * xc, yc * yc, xc * yc)
-    )
-
     nw = (b - a + 1).astype(np.float64)
-    mx = (cx[b + 1] - cx[a]) / nw
-    my = (cy[b + 1] - cy[a]) / nw
-    vxx = np.maximum((cxx[b + 1] - cxx[a]) / nw - mx * mx, 0.0)
-    vyy = np.maximum((cyy[b + 1] - cyy[a]) / nw - my * my, 0.0)
-    vxy = (cxy[b + 1] - cxy[a]) / nw - mx * my
+    mx = _window_sums(xc, a, b) / nw
+    my = _window_sums(yc, a, b) / nw
+    vxx = np.maximum(_window_sums(xc * xc, a, b) / nw - mx * mx, 0.0)
+    vyy = np.maximum(_window_sums(yc * yc, a, b) / nw - my * my, 0.0)
+    vxy = _window_sums(xc * yc, a, b) / nw - mx * my
     lam1, lam2 = _eig2x2(vxx, vxy, vyy)
     return np.maximum(lam1, EPS_VAR) / np.maximum(lam2, EPS_VAR)
 

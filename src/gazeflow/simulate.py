@@ -93,6 +93,8 @@ class StimulusConfig:
             raise SimulationError("artifact_rate must be in [0, 1), artifact_scale >= 1")
         if not self.sequence_duration_s > 0:
             raise SimulationError("sequence_duration_s must be positive")
+        if not np.isfinite(self.sequence_duration_s * self.rate_hz):
+            raise SimulationError("sequence_duration_s * rate_hz, the samples per sequence, must be finite")
 
     @property
     def dt_ms(self) -> float:

@@ -19,13 +19,7 @@ from gazeflow.detectors import (
     ivt_idt_detect,
 )
 from gazeflow.features import FrontendConfig, featurize_sequence, split_dataset
-from gazeflow.gaze import (
-    DEFAULT_SPLIT_RATIOS,
-    GazeSequence,
-    LabelClass,
-    events_from_labels,
-    split_units,
-)
+from gazeflow.gaze import GazeSequence, LabelClass, events_from_labels
 from gazeflow.metrics import (
     confidence_accuracy,
     confusion,
@@ -336,9 +330,8 @@ def test_noiseless_compare_gate(noiseless_corpus):
         split,
         TrainConfig(phase1=PhaseConfig(20, hot), phase2=PhaseConfig(0, PHASE2_ADAM), seed=ACCEPT_SEED),
     )
-    _, val_ids, test_ids = split_units(np.arange(len(seqs)), DEFAULT_SPLIT_RATIOS, ACCEPT_SEED)
-    val_seqs = [seqs[i] for i in sorted(val_ids)]
-    test_seqs = [seqs[i] for i in sorted(test_ids)]
+    val_seqs = [s for s, k in zip(seqs, split.part) if k == 1]
+    test_seqs = [s for s, k in zip(seqs, split.part) if k == 2]
     truth = np.concatenate([s.labels for s in test_seqs])
     tuned = tune_baselines(val_seqs)
     means = {}
@@ -369,9 +362,8 @@ def learning_pipeline(tmp_path_factory):
 
     params, history = train(split, TrainConfig(seed=ACCEPT_SEED))
 
-    _, val_ids, test_ids = split_units(np.arange(len(seqs)), DEFAULT_SPLIT_RATIOS, ACCEPT_SEED)
-    val_seqs = [seqs[i] for i in sorted(val_ids)]
-    test_seqs = [seqs[i] for i in sorted(test_ids)]
+    val_seqs = [s for s, k in zip(seqs, split.part) if k == 1]
+    test_seqs = [s for s, k in zip(seqs, split.part) if k == 2]
     truth = np.concatenate([s.labels for s in test_seqs])
 
     pooled = concat_outputs([cnn_detect(params, s) for s in test_seqs])
@@ -433,8 +425,7 @@ def test_criterion_08_training_determinism(learning_pipeline):
     # identical metric reports from the re-trained model
     cfg = StimulusConfig(seed=ACCEPT_SEED, sequence_duration_s=7.0)
     seqs = [t.sequence for t in generate_corpus(cfg, 48)]
-    _, _, test_ids = split_units(np.arange(len(seqs)), DEFAULT_SPLIT_RATIOS, ACCEPT_SEED)
-    test_seqs = [seqs[i] for i in sorted(test_ids)]
+    test_seqs = [s for s, k in zip(seqs, lp["split"].part) if k == 2]
     truth = np.concatenate([s.labels for s in test_seqs])
     pooled = concat_outputs([cnn_detect(params_b, s) for s in test_seqs])
     res = one_vs_all_auc(pooled, truth)

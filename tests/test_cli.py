@@ -26,7 +26,7 @@ from gazeflow.metrics import (
 )
 from gazeflow.model_io import corpus_fingerprint, load_model, load_split, model_crc, save_model
 from gazeflow.net import init_params, train
-from gazeflow.simulate import StimulusConfig, generate_sequence
+from gazeflow.simulate import StimulusConfig, generate_corpus, generate_sequence
 from gazeflow.tuning import tune_baselines
 
 TINY_CONFIG = """
@@ -416,6 +416,17 @@ class TestDataErrors:
         assert "sequence_duration_s must be positive" in one_error_line(capsys)
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("key", ["rate_hz", "sequence_duration_s"])
+    def test_samples_per_sequence_overflow_exit2(self, tmp_path, capsys, key):
+        # finite on its own, the key's product with the other overflows to inf
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text(f"[stimulus]\n{key} = 1e308\n")
+        capsys.readouterr()
+        assert main(["synth", "--config", str(cfg), "--out-dir", str(tmp_path / "o"), "--sequences", "1"]) == 2
+        line = one_error_line(capsys)
+        assert "rate_hz" in line and "sequence_duration_s" in line and "finite" in line
+        assert not (tmp_path / "o").exists()
+
     def test_angle_threshold_above_pi_exit2(self, tmp_path, tiny_config, capsys):
         data = synth(tmp_path, tiny_config, n=1, seed=5)
         cfg = tmp_path / "angle.cfg"
@@ -660,6 +671,42 @@ class TestStoredSplit:
         line = one_error_line(capsys)
         assert f"{source} 5 differs from the split seed 6" in line and str(model) in line
         assert not (tmp_path / "r").exists() and reads == []
+
+    def test_seed_flag_outranks_the_environment(self, trained, tmp_path, capsys, monkeypatch):
+        data, model = trained
+        monkeypatch.setenv("GAZEFLOW_SEED", "6")
+        capsys.readouterr()
+        assert self.compare(data, model, tmp_path / "r", "--seed", "5") == 2
+        assert "--seed 5 differs from the split seed 6" in one_error_line(capsys)
+        monkeypatch.setenv("GAZEFLOW_SEED", "5")
+        assert self.compare(data, model, tmp_path / "r", "--seed", "6") == 0
+
+    def test_corpus_fingerprint_is_of_the_recordings_train_read(self, tmp_path, capsys, monkeypatch):
+        # a test recording overwritten with a training one while train runs:
+        # the stored fingerprint is of the corpus before, so compare refuses it
+        data = tmp_path / "data"
+        data.mkdir()
+        for k, trace in enumerate(generate_corpus(StimulusConfig(seed=4, sequence_duration_s=2.0), 8)):
+            write_gaze_csv(trace.sequence, data / f"seq-{k:04d}.csv")
+        before = corpus_fingerprint(sorted(data.glob("*.csv")))
+        cfg = tmp_path / "one-epoch.cfg"
+        cfg.write_text("[training]\nphase1_epochs = 1\nphase2_epochs = 0\n")
+
+        def train_then_overwrite(split, config):
+            result = train(split, config)
+            (data / "seq-0007.csv").write_bytes((data / "seq-0000.csv").read_bytes())
+            return result
+
+        monkeypatch.setattr(cli, "train", train_then_overwrite)
+        model = tmp_path / "model.gznn"
+        assert main(["train", "--data-dir", str(data), "--config", str(cfg), "--out", str(model), "--seed", "3"]) == 0
+        split = load_split(model)
+        assert split.test == ("seq-0007.csv",) and "seq-0000.csv" not in split.validation
+        assert (split.n_files, split.corpus_crc) == before
+        capsys.readouterr()
+        assert self.compare(data, model, tmp_path / "r", "--seed", "3") == 2
+        assert "not the corpus" in one_error_line(capsys)
+        assert not (tmp_path / "r").exists()
 
     @pytest.mark.parametrize("change", ["byte", "added", "removed"])
     def test_other_corpus_exit2(self, trained, tmp_path, capsys, monkeypatch, change):
@@ -1053,3 +1100,47 @@ class TestReportsMatchCsvWriter:
             for r in rows[1:]:
                 w.writerow([r[0]] + [_fmt(float(v)) for v in r[1:]])
         assert new == oracle.read_bytes()
+
+
+class TestSharedFlags:
+    """main resolves --config and --seed, which every command but trace takes, before the command runs."""
+
+    SEEDED = ("synth", "train", "detect", "eval", "compare")
+
+    @pytest.mark.parametrize("command", [*SEEDED, "trace"])
+    def test_help_lists_config_and_seed_for_all_but_trace(self, capsys, command):
+        assert main([command, "--help"]) == 0
+        out = capsys.readouterr().out
+        seeded = command in self.SEEDED
+        assert ("--config" in out, "--seed" in out) == (seeded, seeded)
+
+    def test_trace_ignores_a_malformed_env_seed(self, tmp_path, tiny_config, monkeypatch):
+        data = synth(tmp_path, tiny_config, n=1, seed=5)
+        seq_file, preds_file = data / "seq-0000.csv", tmp_path / "preds.csv"
+        assert main(["detect", "--baseline", "ivt", "--in", str(seq_file), "--out", str(preds_file)]) == 0
+        monkeypatch.setenv("GAZEFLOW_SEED", "abc")
+        assert main(["trace", "--preds", str(preds_file), "--in", str(seq_file), "--out", str(tmp_path / "t.csv")]) == 0
+        assert (tmp_path / "t.csv").exists()
+
+    @pytest.mark.parametrize("command", SEEDED)
+    def test_malformed_env_seed_exit2_before_any_command_check(self, tmp_path, capsys, monkeypatch, command):
+        # the arguments are all wrong for the command; the seed is reported first
+        monkeypatch.setenv("GAZEFLOW_SEED", "abc")
+        missing = str(tmp_path / "missing")
+        argv = {
+            "synth": ["synth", "--out-dir", missing, "--sequences", "0"],
+            "train": ["train", "--data-dir", missing, "--out", missing],
+            "detect": ["detect", "--baseline", "ivt", "--in", missing, "--out", missing],
+            "eval": ["eval", "--preds", missing, "--truth", missing, "--report-dir", missing],
+            "compare": ["compare", "--data-dir", missing, "--model", missing, "--report-dir", missing],
+        }[command]
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert one_error_line(capsys) == "error: GAZEFLOW_SEED must be an integer, got 'abc'"
+        assert not (tmp_path / "missing").exists()
+
+    def test_config_error_reported_before_the_sequence_count(self, tmp_path, capsys):
+        capsys.readouterr()
+        assert main(["synth", "--config", str(tmp_path / "none.cfg"), "--out-dir", str(tmp_path / "o"),
+                     "--sequences", "0"]) == 2
+        assert "config file not found" in one_error_line(capsys)

@@ -470,6 +470,23 @@ class TestStage2MatchesPerSpanOracle:
             tracemalloc.stop()
         assert peak <= 17.0e6
 
+    def test_eigen_ratio_peak_memory_near_the_dispersion(self):
+        # the same recording: each window sum frees its prefix array before the
+        # next is built; holding all five at once peaks above 1.5 x the dispersion
+        rng = np.random.default_rng(4)
+        n = 126_000
+        x, y = np.cumsum(rng.normal(0, 0.1, (2, n)), axis=1)
+        peaks = {}
+        for kind in ("dispersion", "eigen_ratio"):
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                stage2_statistics(x, y, np.ones(n, bool), 30, (kind,))
+                peaks[kind] = tracemalloc.get_traced_memory()[1] - start
+            finally:
+                tracemalloc.stop()
+        assert peaks["eigen_ratio"] < 1.4 * peaks["dispersion"]
+
 
 class TestCnnDetect:
     def test_zero_weight_model_uniform_scores(self):
