@@ -177,18 +177,23 @@ def roc_auc(scores: np.ndarray, truth_binary: np.ndarray) -> RocCurve:
     """ROC curve over all distinct score thresholds, AUC by trapezoid rule.
 
     Tied scores move between the positive and negative side together, so the
-    AUC equals the Mann-Whitney statistic with ties counted half.
+    AUC equals the Mann-Whitney statistic with ties counted half. The curve
+    reads the counts at the end of each group of tied scores only, so the
+    order inside a tie does not matter, and the sort need not be stable.
+    Scores must be finite: infinities and NaN would not group.
     """
     s = np.asarray(scores, dtype=np.float64)
     t = np.asarray(truth_binary, dtype=bool)
     if s.shape != t.shape or s.ndim != 1:
         raise EvalError("scores and truth must be equal-length vectors")
+    if not np.isfinite(s).all():
+        raise EvalError("ROC scores must be finite")
     n_pos = int(t.sum())
     n_neg = t.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise EvalError("ROC needs at least one positive and one negative sample")
 
-    order = np.argsort(-s, kind="stable")
+    order = np.argsort(-s)
     s_sorted = s[order]
     t_sorted = t[order]
     distinct = np.concatenate([np.flatnonzero(np.diff(s_sorted)), [s.size - 1]])

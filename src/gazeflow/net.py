@@ -27,15 +27,21 @@ Scoring many windows (frame_accuracy after every epoch, cnn_detect on a
 recording) goes through score_windows. It runs im2col, convolution and
 pooling SCORE_CHUNK (256) windows at a time and stacks the pooled
 features of up to FORWARD_CHUNK (65,536) windows for the dense layer and
-softmax. BLAS picks its kernel, and so its rounding, by a product's shape.
-A row of the conv GEMM comes out the same whatever the row count, but the
-dense layer's logits differ by up to ~5e-15 between row counts. So the
-dense layer runs on the same row blocks as forward_batch over every
-FORWARD_CHUNK windows would, and the probabilities equal those bit for bit
-at any length, while the im2col columns and conv outputs held at once are
-those of one chunk. The same trap holds for the weights: the conv GEMM must
-read w2d.T as a transposed view, because a contiguous copy of it takes
-another BLAS path and changes the bits of every trained model.
+softmax. Its pooling takes the max alone and adds the bias after it, which
+gives the bits of the biased max but keeps no argmax: only backward_batch
+needs that. BLAS picks its kernel, and so its rounding, by a product's
+shape. On OpenBLAS's SkylakeX kernel a row of the conv GEMM comes out the
+same whatever the row count; that is a property of the kernel, not of BLAS
+(under its Haswell kernel a batched (B, positions) conv product differs from
+the one 2-D GEMM at 255 windows), so every score, model and hash is exact
+per platform. The dense layer's logits differ by up to ~5e-15 between row
+counts on any kernel. So the dense layer runs on the same row blocks as
+forward_batch over every FORWARD_CHUNK windows would, and the probabilities
+equal those bit for bit at any length, while the im2col columns and conv
+outputs held at once are those of one chunk. The same trap holds for the
+weights: the conv GEMM must read w2d.T as a transposed view, because a
+contiguous copy of it takes another BLAS path and changes the bits of every
+trained model.
 """
 from __future__ import annotations
 
@@ -345,14 +351,13 @@ def _check_features(params: NetworkParams, feats: np.ndarray) -> None:
         )
 
 
-def _conv_pool(params: NetworkParams, feats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """im2col columns, pooling argmax and pooled features (B, flat_dim) of a window stack.
+def _conv(params: NetworkParams, feats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """im2col columns and bias-free conv outputs (B, positions, filters) of a window stack.
 
     Each window's values are the same whatever the stack around it holds.
     """
     B = feats.shape[0]
     F, K = params.n_filters, params.kernel_len
-    R, P = params.n_regions, params.pool_factor
     positions = params.input_len - K + 1
     # im2col: row p of a window's columns is its flattened samples p .. p + K - 1,
     # starting N_CHANNELS values after row p - 1; the last row ends on the
@@ -360,11 +365,19 @@ def _conv_pool(params: NetworkParams, feats: np.ndarray) -> tuple[np.ndarray, np
     flat_in = feats.reshape(B, params.input_len * N_CHANNELS)
     step = flat_in.strides[1]
     cols = as_strided(flat_in, (B, positions, K * N_CHANNELS), (flat_in.strides[0], N_CHANNELS * step, step)).copy()
-    # one 2-D GEMM, bit-equal to the batched (B, positions) product; w2d.T
-    # must stay a transposed view: a contiguous copy takes another BLAS
-    # kernel and rounds differently
+    # one 2-D GEMM (a batched (B, positions) product rounds differently on
+    # some kernels); w2d.T must stay a transposed view: a contiguous copy
+    # takes another BLAS kernel and rounds differently
     w2d = params.conv_w.reshape(F, K * N_CHANNELS)
-    conv = (cols.reshape(-1, K * N_CHANNELS) @ w2d.T).reshape(B, positions, F)
+    return cols, (cols.reshape(-1, K * N_CHANNELS) @ w2d.T).reshape(B, positions, F)
+
+
+def _conv_pool(params: NetworkParams, feats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """im2col columns, pooling argmax and pooled features (B, flat_dim) of a
+    window stack: the forward pass that backward_batch differentiates."""
+    cols, conv = _conv(params, feats)
+    B, F = feats.shape[0], params.n_filters
+    R, P = params.n_regions, params.pool_factor
     # the bias goes on while the pooled positions are copied into P
     # contiguous (B, regions, filters) slabs, one per offset in a region
     slabs = np.empty((P, B, R, F))
@@ -378,6 +391,25 @@ def _conv_pool(params: NetworkParams, feats: np.ndarray) -> tuple[np.ndarray, np
         np.putmask(pool_arg, slabs[j] > pool, j)
         np.maximum(pool, slabs[j], out=pool)
     return cols, pool_arg, pool.reshape(B, R * F)
+
+
+def _score_pool(params: NetworkParams, feats: np.ndarray) -> np.ndarray:
+    """The pooled features of _conv_pool, bit for bit, without the argmax.
+
+    The max is taken over the bias-free conv outputs, in _conv_pool's offset
+    order, and the bias goes on after it. Correctly rounded addition is
+    monotone, so max_j fl(c_j + b) == fl(max_j c_j + b); where the maximum
+    is a zero, adding a zero bias gives the zero _conv_pool's max gives.
+    """
+    _, conv = _conv(params, feats)
+    B, F = feats.shape[0], params.n_filters
+    R, P = params.n_regions, params.pool_factor
+    regions = conv[:, : R * P].reshape(B, R, P, F)
+    pool = regions[:, :, 0].copy()
+    for j in range(1, P):
+        np.maximum(pool, regions[:, :, j], out=pool)
+    pool += params.conv_b
+    return pool.reshape(B, R * F)
 
 
 def _dense(params: NetworkParams, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -398,10 +430,10 @@ def score_windows(params: NetworkParams, feats: np.ndarray) -> np.ndarray:
     """Class probabilities (n, 3) of an (n, input_len, 2) window stack.
 
     The scoring path of frame_accuracy and cnn_detect: convolution and
-    pooling SCORE_CHUNK windows at a time, the dense layer and softmax over
-    the stacked pooled features of up to FORWARD_CHUNK windows. Bit-equal to
-    the probabilities of one forward_batch per FORWARD_CHUNK windows (see
-    the module docstring).
+    argmax-free pooling SCORE_CHUNK windows at a time, the dense layer and
+    softmax over the stacked pooled features of up to FORWARD_CHUNK
+    windows. Bit-equal to the probabilities of one forward_batch per
+    FORWARD_CHUNK windows (see the module docstring).
     """
     _check_features(params, feats)
     n = feats.shape[0]
@@ -411,7 +443,7 @@ def score_windows(params: NetworkParams, feats: np.ndarray) -> np.ndarray:
         block = feats[lo : lo + FORWARD_CHUNK]
         flat = pooled[: block.shape[0]]
         for c in range(0, block.shape[0], SCORE_CHUNK):
-            flat[c : c + SCORE_CHUNK] = _conv_pool(params, block[c : c + SCORE_CHUNK])[2]
+            flat[c : c + SCORE_CHUNK] = _score_pool(params, block[c : c + SCORE_CHUNK])
         probs[lo : lo + block.shape[0]] = _dense(params, flat)[1]
     return probs
 

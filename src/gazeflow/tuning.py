@@ -2,8 +2,8 @@
 
 Thresholds are chosen to maximize macro F1 over the covered frames of a set
 of labeled sequences (typically the validation split). The velocity grid is
-shared by all two-stage baselines; stage-2 statistics are computed once per
-velocity candidate and sequence, as the detectors compute them.
+shared by all two-stage baselines; stage-2 statistics are computed at most
+once per velocity candidate and sequence, as the detectors compute them.
 
 No grid point labels the samples one by one. Each label is a threshold test,
 so the confusion counts of a whole grid come from counting, per true class,
@@ -11,6 +11,21 @@ the samples beyond each grid point: one sort per class and one binary search
 per point. The counts are exact integers, equal to those of the labels the
 detectors give at that point, so every macro F1 and every tuned threshold is
 the one a label-by-label search finds.
+
+Stage 2 only splits the samples that stage 1 left unlabeled, so at velocity
+candidate i no cascade can beat
+
+    bound[i] = (F1_sac[i] + 2 L_fix / (1 + L_fix) + 2 L_pur / (1 + L_pur)) / 3,
+
+with F1_sac[i] the exact saccade F1 of stage 1 and L_c the share of true
+class c it left unlabeled (1 for an absent class): class c's F1 is largest,
+2 L_c / (1 + L_c), when stage 2 labels c all of those samples and no other
+one. The candidates run in falling bound order, and a cascade skips a candidate whose
+bound is more than BOUND_MARGIN below its best macro F1 so far; stage 2 is
+computed only for the cascades still live, and the sweep ends when none is.
+A skipped candidate scores strictly below that best, so it can neither be
+the first best nor tie it, and the tuned thresholds are those of the full
+sweep.
 """
 from __future__ import annotations
 
@@ -20,8 +35,12 @@ import numpy as np
 
 from .detectors import STAGE2, BaselineConfig, DetectorError, _prepare, stage2_statistics
 from .features import FrontendConfig
-from .gaze import N_CLASSES, GazeSequence
+from .gaze import N_CLASSES, GazeSequence, LabelClass
 from .metrics import prf_from_counts
+
+# slack on the pruning bound, far above its rounding error (a few ulps); more
+# slack only prunes less
+BOUND_MARGIN = 1e-9
 
 
 def _default_velocity_grid() -> np.ndarray:
@@ -97,7 +116,8 @@ def tune_baselines(
     gaps of up to max_gap samples repaired. Two-stage baselines search the
     velocity grid jointly with their stage-2 grid, labeling as the detectors
     do from the STAGE2 table; ties go to the first grid point in
-    (velocity, stage-2) order.
+    (velocity, stage-2) order. Velocity candidates whose bound rules them
+    out are never run through stage 2 (module docstring).
     """
     if not sequences:
         raise DetectorError("cannot tune on an empty sequence list")
@@ -113,30 +133,44 @@ def tune_baselines(
     n_true = np.bincount(truth, minlength=N_CLASSES)
     velocity = grids.velocity
 
-    def macro_f1(sac: np.ndarray, pur: np.ndarray | int = 0) -> np.ndarray:
-        """Macro F1 of labels with sac saccades and pur pursuits per true class, (..., 3)
-        each, and fixations for the rest: (..., 3, 3) counts, row = ground truth."""
-        return prf_from_counts(np.stack(np.broadcast_arrays(n_true - sac - pur, sac, pur), axis=-1)).f1.mean(axis=-1)
+    def report(sac: np.ndarray, pur: np.ndarray | int = 0):
+        """One-vs-rest report of labels with sac saccades and pur pursuits per true
+        class, (..., 3) each, and fixations for the rest: (..., 3, 3) counts, row = ground truth."""
+        return prf_from_counts(np.stack(np.broadcast_arrays(n_true - sac - pur, sac, pur), axis=-1))
 
     # saccades (v > tau_v) per velocity candidate and true class; the binary
     # velocity detector labels every other sample a fixation
     sac = _beyond_counts(truth, v_cov, velocity, 1)
-    best_v = int(np.argmax(macro_f1(sac)))
+    stage1_f1 = report(sac).f1
+    best_v = int(np.argmax(stage1_f1.mean(axis=-1)))
     tuned = {
         "ivt": BaselineConfig(velocity_threshold_deg_s=float(velocity[best_v]), window_len=window_len)
     }
 
-    # joint velocity x stage-2 sweeps, sharing stage-2 statistics per tau_v
+    # the best macro F1 a cascade can reach at each velocity candidate (module docstring)
+    left = np.divide(n_true - sac, n_true, out=np.ones(sac.shape), where=n_true > 0)
+    reach = 2 * left / (1 + left)
+    bound = (reach[:, LabelClass.FIXATION] + stage1_f1[:, LabelClass.SACCADE] + reach[:, LabelClass.PURSUIT]) / 3
+
+    # joint velocity x stage-2 sweeps, sharing stage-2 statistics per tau_v;
+    # a skipped grid row keeps -inf, below every macro F1
     stage2_grid = {"ivt-idt": grids.dispersion, "ivmp": grids.angle, "pca": grids.pca_ratio}
-    kinds = tuple(kind for kind, _, _ in STAGE2.values())
-    f1 = {name: np.empty((velocity.size, grid.size)) for name, grid in stage2_grid.items()}
-    for i, tau_v in enumerate(velocity):
+    f1 = {name: np.full((velocity.size, grid.size), -np.inf) for name, grid in stage2_grid.items()}
+    best = dict.fromkeys(STAGE2, -np.inf)
+    for i in np.argsort(-bound, kind="stable"):
+        live = [name for name in STAGE2 if bound[i] + BOUND_MARGIN >= best[name]]
+        if not live:
+            break  # the bounds only fall from here
+        kinds = tuple(STAGE2[name][0] for name in live)
+        tau_v = velocity[i]
         stats = [stage2_statistics(x, y, ~(v > tau_v) & ~bad, window_len, kinds) for x, y, bad, v, _ in prepared]
         saccade = v_cov > tau_v
-        for name, (kind, _, side) in STAGE2.items():
+        for name in live:
+            kind, _, side = STAGE2[name]
             stat = np.concatenate([st[kind][cov] for st, cov in zip(stats, covered)])
             stat[saccade] = np.nan  # labeled by the velocity stage
-            f1[name][i] = macro_f1(sac[i], _beyond_counts(truth, stat, stage2_grid[name], side))
+            f1[name][i] = report(sac[i], _beyond_counts(truth, stat, stage2_grid[name], side)).f1.mean(axis=-1)
+            best[name] = max(best[name], f1[name][i].max())
 
     for name, (_, field_name, _) in STAGE2.items():
         i, j = np.unravel_index(np.argmax(f1[name]), f1[name].shape)  # first best, row-major

@@ -1,5 +1,9 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gazeflow.detectors import DetectorOutput
 from gazeflow.gaze import Event, LabelClass, events_from_labels
@@ -152,6 +156,18 @@ class TestPrf:
             prf_from_confusion(ConfusionMatrix(np.zeros((3, 3), int)))
 
 
+def stable_sort_roc(scores, truth):
+    """roc_auc as it was with a stable sort: tied scores in input order."""
+    order = np.argsort(-scores, kind="stable")
+    s_sorted, t_sorted = scores[order], truth[order]
+    distinct = np.concatenate([np.flatnonzero(np.diff(s_sorted)), [scores.size - 1]])
+    tp = np.cumsum(t_sorted)[distinct]
+    fp = (distinct + 1) - tp
+    tpr = np.concatenate([[0.0], tp / truth.sum()])
+    fpr = np.concatenate([[0.0], fp / (truth.size - truth.sum())])
+    return SimpleNamespace(fpr=fpr, tpr=tpr, auc=float(np.trapezoid(tpr, fpr)))
+
+
 class TestRocAuc:
     def test_perfect_separation(self):
         scores = np.array([0.9, 0.8, 0.2, 0.1])
@@ -185,6 +201,31 @@ class TestRocAuc:
     def test_single_class_error(self):
         with pytest.raises(EvalError):
             roc_auc(np.array([0.1, 0.2]), np.array([True, True]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_scores_rejected(self, bad):
+        # tied infinities differ by NaN, so they would not group
+        with pytest.raises(EvalError, match="finite"):
+            roc_auc(np.array([0.1, bad, bad]), np.array([True, False, True]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_curve_equals_the_stable_sort_oracle(self, data):
+        # heavy ties: scores rounded to 1-3 decimals, sometimes one constant
+        # value (as ivt's pursuit channel), signed zeros among them
+        n = data.draw(st.integers(2, 300), label="n")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        truth = rng.random(n) < data.draw(st.floats(0.05, 0.95), label="positive share")
+        truth[rng.choice(n, 2, replace=False)] = [True, False]
+        decimals = data.draw(st.integers(1, 3), label="decimals")
+        scores = np.round(rng.random(n), decimals) - data.draw(st.sampled_from([0.0, 0.5]), label="shift")
+        if data.draw(st.booleans(), label="constant"):
+            scores = np.full(n, scores[0])
+        want = stable_sort_roc(scores, truth)
+        got = roc_auc(scores, truth)
+        assert np.array_equal(got.fpr.view(np.uint64), want.fpr.view(np.uint64))
+        assert np.array_equal(got.tpr.view(np.uint64), want.tpr.view(np.uint64))
+        assert np.float64(got.auc).view(np.uint64) == np.float64(want.auc).view(np.uint64)
 
 
 class TestOneVsAll:

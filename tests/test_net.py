@@ -8,6 +8,7 @@ import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
 from gazeflow.detectors import cnn_detect
+from gazeflow import net
 from gazeflow.features import featurize_sequence
 from gazeflow.gaze import DatasetSplit, WindowSet
 from gazeflow.net import (
@@ -674,15 +675,17 @@ class TestAgainstArrayOracle:
 
 
 def one_pass_forward(params, feats):
-    """The earlier forward_batch's probabilities: np.take im2col, one batched conv
-    matmul and strided pooling over the whole stack, then the dense layer."""
+    """The earlier forward_batch's probabilities: np.take im2col, one conv GEMM
+    and strided pooling over the whole stack, then the dense layer. The conv
+    GEMM is the 2-D (B * positions, K * 2) product _conv_pool runs: a batched
+    (B, positions) product rounds differently on some BLAS kernels."""
     B = feats.shape[0]
     F, K = params.n_filters, params.kernel_len
     R, P = params.n_regions, params.pool_factor
     taps = np.arange(params.input_len - K + 1)[:, None] + np.arange(K)
     index = (taps[:, :, None] * 2 + np.arange(2)).reshape(taps.shape[0], -1)
     cols = np.take(feats.reshape(B, -1), index, axis=1)
-    conv = cols @ params.conv_w.reshape(F, K * 2).T + params.conv_b
+    conv = (cols.reshape(-1, K * 2) @ params.conv_w.reshape(F, K * 2).T).reshape(B, -1, F) + params.conv_b
     regions = conv[:, : R * P].reshape(B, R, P, F)
     pool = regions[:, :, 0, :].copy()
     for j in range(1, P):
@@ -742,6 +745,56 @@ class TestScoringPath:
         finally:
             tracemalloc.stop()
         assert peak < bound
+
+
+def with_conv_bias(params, bias):
+    return NetworkParams(params.conv_w, np.broadcast_to(bias, params.conv_b.shape), params.dense_w, params.dense_b)
+
+
+BIASES = {
+    "zero": 0.0,
+    "minus-zero": -0.0,
+    "negative": -np.linspace(0.5, 3.0, 10),
+    "mixed": np.array([-0.0, 0.0, -1e-300, 1e-300, -2.0, 2.0, -1e308, 1e308, 0.25, -0.25]),
+}
+
+
+class TestScoringPool:
+    """score_windows pools with the max alone and adds the bias after it; the
+    pooled features must be those of _conv_pool, which adds it first."""
+
+    @pytest.mark.parametrize("bias", sorted(BIASES))
+    def test_equals_the_biased_argmax_pool_on_windows(self, bias):
+        rng = np.random.default_rng(5)
+        params = with_conv_bias(init_params(5), BIASES[bias])
+        feats = np.concatenate([
+            np.abs(rng.normal(size=(40, 30, 2))),
+            np.broadcast_to(rng.normal(size=(20, 1, 2)), (20, 30, 2)),  # constant: every offset ties
+            np.zeros((5, 30, 2)),  # every conv output 0.0
+            np.repeat(rng.normal(size=(10, 6, 2)), 5, axis=1),  # steps of 5 samples
+            rng.normal(size=(10, 30, 2)) * 1e306,  # conv outputs and biased sums near overflow
+        ])
+        with np.errstate(over="ignore"):
+            want = net._conv_pool(params, feats)[2]
+            got = net._score_pool(params, feats)
+        assert np.array_equal(bits(got), bits(want))
+
+    @pytest.mark.parametrize("bias", sorted(BIASES))
+    def test_equals_the_biased_argmax_pool_on_drawn_conv_outputs(self, monkeypatch, bias):
+        # conv outputs drawn from a few values, so most regions hold ties
+        # across offsets, signed zeros among them, and sums that overflow
+        rng = np.random.default_rng(6)
+        params = with_conv_bias(init_params(6), BIASES[bias])
+        values = [-0.0, 0.0, 5e-324, -5e-324, 1.0, -1.0, 1e308, -1e308, np.finfo(float).max, -np.finfo(float).max]
+        conv = rng.choice(values, size=(64, 21, params.n_filters))
+        monkeypatch.setattr(net, "_conv", lambda params, feats: (None, conv))
+        feats = np.zeros((64, 30, 2))
+        with np.errstate(over="ignore"):
+            want = net._conv_pool(params, feats)[2]
+            got = net._score_pool(params, feats)
+        assert np.array_equal(bits(got), bits(want))
+        if bias in ("minus-zero", "mixed"):  # a -0.0 bias keeps -0.0 maxima
+            assert (np.signbit(want) & (want == 0)).any()
 
 
 def seeded_split(n_train, n_val, seed=0):

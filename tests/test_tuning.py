@@ -2,8 +2,11 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gazeflow import tuning
+from gazeflow.cli import main
 from gazeflow.detectors import (
     BASELINE_DETECTORS,
     STAGE2,
@@ -15,6 +18,8 @@ from gazeflow.detectors import (
     ivt_idt_detect,
     pca_ratio_detect,
 )
+from gazeflow.gaze import GazeSequence
+from gazeflow.gaze_io import write_gaze_csv
 from gazeflow.metrics import confusion_counts, frame_accuracy, prf_from_counts
 from gazeflow.simulate import StimulusConfig, generate_corpus
 from gazeflow.tuning import TuningGrids, tune_baselines
@@ -71,6 +76,40 @@ def brute_force_tuning(sequences, grids):
     return best
 
 
+def exhaustive_tuning(sequences, grids, window_len=30, max_gap=3):
+    """The sweep without pruning: stage 2 at every velocity candidate, for every
+    cascade, and the first best in (velocity, stage-2) order. Stage 1 and 2 are
+    looked up on the tuning module, so a test's stand-ins for them apply here too."""
+    prepared = [tuning._prepare(seq, window_len, max_gap) for seq in sequences]
+    covered = [cov for *_, cov in prepared]
+    truth = np.concatenate([seq.labels[cov] for seq, cov in zip(sequences, covered)]).astype(np.int64)
+    v_cov = np.concatenate([v[cov] for *_, v, cov in prepared])
+    n_true = np.bincount(truth, minlength=3)
+    velocity = grids.velocity
+
+    def macro_f1(sac, pur=0):
+        return prf_from_counts(np.stack(np.broadcast_arrays(n_true - sac - pur, sac, pur), axis=-1)).f1.mean(axis=-1)
+
+    sac = tuning._beyond_counts(truth, v_cov, velocity, 1)
+    tuned = {"ivt": BaselineConfig(velocity_threshold_deg_s=float(velocity[np.argmax(macro_f1(sac))]), window_len=window_len)}
+    stage2_grid = {"ivt-idt": grids.dispersion, "ivmp": grids.angle, "pca": grids.pca_ratio}
+    kinds = tuple(kind for kind, _, _ in STAGE2.values())
+    f1 = {name: np.empty((velocity.size, grid.size)) for name, grid in stage2_grid.items()}
+    for i, tau_v in enumerate(velocity):
+        stats = [tuning.stage2_statistics(x, y, ~(v > tau_v) & ~bad, window_len, kinds) for x, y, bad, v, _ in prepared]
+        saccade = v_cov > tau_v
+        for name, (kind, _, side) in STAGE2.items():
+            stat = np.concatenate([st[kind][cov] for st, cov in zip(stats, covered)])
+            stat[saccade] = np.nan
+            f1[name][i] = macro_f1(sac[i], tuning._beyond_counts(truth, stat, stage2_grid[name], side))
+    for name, (_, field, _) in STAGE2.items():
+        i, j = np.unravel_index(np.argmax(f1[name]), f1[name].shape)
+        tuned[name] = BaselineConfig(
+            velocity_threshold_deg_s=float(velocity[i]), window_len=window_len, **{field: float(stage2_grid[name][j])}
+        )
+    return tuned
+
+
 class TestTuneBaselines:
     def test_matches_brute_force_search(self, noiseless_corpus):
         # unsorted grids: on this corpus several angle thresholds tie, and the
@@ -121,6 +160,89 @@ class TestTuneBaselines:
     def test_empty_rejected(self):
         with pytest.raises(DetectorError):
             tune_baselines([])
+
+
+@pytest.fixture(scope="module")
+def mixed_pool(noiseless_corpus):
+    noisy = generate_corpus(StimulusConfig(seed=33, sequence_duration_s=3.0), 3)
+    return noiseless_corpus + [t.sequence for t in noisy]
+
+
+def far_recording(n=61):
+    """Coordinates whose x and y ranges sum past the largest float, sampled so
+    slowly that the speed alternates between 0 and about 1.3e5 deg/s. A velocity
+    threshold above that speed leaves one stage-2 span, whose dispersion
+    overflows; one below splits it into one-sample spans, which do not."""
+    d = 4.6e307
+    x = np.array([0.0, d, 2 * d, d])[np.arange(n) % 4]
+    return GazeSequence(np.arange(1, n + 1) * 5e305, x, x.copy(), np.ones(n, bool), np.ones(n, np.int8), "far")
+
+
+class TestPrunedSweep:
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_equals_the_exhaustive_sweep(self, mixed_pool, data):
+        # small corpora with repaired and unrepaired gaps, sometimes without
+        # one class, on shuffled grids that repeat values
+        absent = data.draw(st.sampled_from([None, 0, 1, 2]), label="absent class")
+        sequences = []
+        for k in data.draw(st.lists(st.integers(0, len(mixed_pool) - 1), min_size=1, max_size=3, unique=True)):
+            seq = mixed_pool[k]
+            lost = np.zeros(len(seq), bool)
+            for start, length in data.draw(st.lists(st.tuples(st.integers(0, len(seq) - 1), st.integers(1, 8)), max_size=4)):
+                lost[start : start + length] = True
+            labels = seq.labels if absent is None else np.where(seq.labels == absent, (absent + 1) % 3, seq.labels)
+            x, y = (np.where(lost, np.nan, c) for c in (seq.x_deg, seq.y_deg))
+            sequences.append(GazeSequence(seq.t_ms, x, y, seq.valid & ~lost, labels, seq.source_id))
+
+        def grid(values, max_size):
+            return data.draw(st.lists(st.sampled_from(values), min_size=1, max_size=max_size))
+
+        grids = TuningGrids(
+            velocity=grid([10.0, 20.0, 35.0, 60.0, 100.0, 180.0, 300.0], 8),
+            dispersion=grid([0.2, 0.4, 0.8, 1.5, 3.0], 5),
+            angle=grid(list(np.linspace(0.1, 0.9, 5) * np.pi), 5),
+            pca_ratio=grid([1.5, 3.0, 6.0, 15.0, 50.0], 5),
+        )
+        window_len = data.draw(st.sampled_from([10, 30]))
+        assert tune_baselines(sequences, grids, window_len) == exhaustive_tuning(sequences, grids, window_len)
+
+    def test_candidates_are_skipped_on_the_noiseless_corpus(self, noiseless_corpus, monkeypatch):
+        rows = follow_sweep(monkeypatch)
+        tuned = tune_baselines(noiseless_corpus)
+        _, stage2_rows = rows()
+        assert 0 < len(stage2_rows) < TuningGrids().velocity.size * len(STAGE2)
+        assert tuned == exhaustive_tuning(noiseless_corpus, TuningGrids())
+
+    def test_an_overflow_only_at_a_skipped_candidate_no_longer_fails_tuning(self, noiseless_corpus, tmp_path, capsys):
+        # the full sweep fails at tau_v = 1e6, a candidate whose bound rules it out
+        far = far_recording()
+        sequences = noiseless_corpus[:3] + [far]
+        grids = TuningGrids(velocity=[40.0, 1e6])
+        with pytest.raises(DetectorError, match="the dispersion at sample 0 overflows"):
+            exhaustive_tuning(sequences, grids)
+        tuned = tune_baselines(sequences, grids)
+        assert {cfg.velocity_threshold_deg_s for cfg in tuned.values()} == {40.0}
+        # detecting at that candidate still fails with one error line; at the
+        # tuned thresholds the recording is labeled
+        write_gaze_csv(far, tmp_path / "far.csv")
+        thresholds = {"skipped": "velocity_threshold_deg_s = 1e6\n", "tuned": "".join(
+            f"{k} = {getattr(tuned['ivt-idt'], k)!r}\n" for k in ("velocity_threshold_deg_s", "dispersion_threshold_deg")
+        )}
+        for name, body in thresholds.items():
+            (tmp_path / f"{name}.ini").write_text(f"[baselines]\n{body}", encoding="utf-8")
+        capsys.readouterr()
+
+        def detect(name):
+            return main(["detect", "--baseline", "ivt-idt", "--config", str(tmp_path / f"{name}.ini"),
+                         "--in", str(tmp_path / "far.csv"), "--out", str(tmp_path / f"{name}.csv")])
+
+        assert detect("skipped") == 3
+        assert capsys.readouterr().err.strip().splitlines() == [
+            "data error: scores must be finite: the dispersion at sample 0 overflows (coordinates out of range)"
+        ]
+        assert not (tmp_path / "skipped.csv").exists()
+        assert detect("tuned") == 0 and (tmp_path / "tuned.csv").exists()
 
 
 class TestTuningGrids:
@@ -181,6 +303,50 @@ class TestTuningGrids:
         assert len({TuningGrids(), TuningGrids(), TuningGrids(velocity=[40.0])}) == 2
 
 
+def follow_sweep(monkeypatch, stage2=None):
+    """Spy on tune_baselines' stage-2 calls (passed on to `stage2`, by default
+    the real one) and on the counts it scores. Returns a function that, after
+    the sweep, gives the ivt counts and one (cascade, counts, macro F1) per
+    scored cascade row: the rows of a velocity candidate follow its stage-2
+    calls, one per cascade still live, in STAGE2 order."""
+    events = []
+    stage2 = stage2 or tuning.stage2_statistics
+    score = tuning.prf_from_counts
+
+    def stage2_spy(x, y, mask, window_len, kinds):
+        events.append(("stage2", kinds))
+        return stage2(x, y, mask, window_len, kinds)
+
+    def score_spy(counts):
+        report = score(counts)
+        events.append(("score", (np.asarray(counts), report.f1.mean(axis=-1))))
+        return report
+
+    monkeypatch.setattr(tuning, "stage2_statistics", stage2_spy)
+    monkeypatch.setattr(tuning, "prf_from_counts", score_spy)
+
+    def rows():
+        (_, (ivt_counts, _)), *rest = events
+        out, pending = [], []
+        for what, payload in rest:
+            if what == "stage2":
+                pending = [name for name, (kind, _, _) in STAGE2.items() if kind in payload]
+            else:
+                out.append((pending.pop(0), *payload))
+        return ivt_counts, out
+
+    return rows
+
+
+def velocity_row(ivt_counts, counts):
+    """A velocity candidate whose saccades match the saccade column of a cascade's
+    counts. Stage 1 thresholds are nested, so equal saccade counts per true class
+    mean equal saccade sets: every match labels the same samples."""
+    matches = [i for i in range(ivt_counts.shape[0]) if np.array_equal(ivt_counts[i, :, 1], counts[0, :, 1])]
+    assert matches
+    return matches[0]
+
+
 class TestTuningLabelsAreDetectorLabels:
     def test_sampled_grid_points(self, noiseless_corpus, monkeypatch):
         # every set of counts that tuning scores, against the confusion counts
@@ -193,14 +359,8 @@ class TestTuningLabelsAreDetectorLabels:
             angle=np.linspace(0.1 * np.pi, 0.9 * np.pi, 4),
             pca_ratio=np.geomspace(1.5, 50.0, 4),
         )
-        scored = []
-
-        def spy(counts):
-            scored.append(np.asarray(counts))
-            return prf_from_counts(counts)
-
-        monkeypatch.setattr(tuning, "prf_from_counts", spy)
-        tune_baselines(sequences, grids)
+        rows = follow_sweep(monkeypatch)
+        tuned = tune_baselines(sequences, grids)
         cover = [ivt_idt_detect(s).sample_idx for s in sequences]
         truth = np.concatenate([s.labels[c] for s, c in zip(sequences, cover)])
 
@@ -208,22 +368,24 @@ class TestTuningLabelsAreDetectorLabels:
             labels = np.concatenate([detect(s, cfg).full_labels()[c] for s, c in zip(sequences, cover)])
             return confusion_counts(truth, labels)
 
-        ivt_counts, stage2_counts = scored[0], scored[1:]
+        ivt_counts, stage2_rows = rows()
         for i, tau_v in enumerate(grids.velocity):
             cfg = BaselineConfig(velocity_threshold_deg_s=float(tau_v))
             assert np.array_equal(ivt_counts[i], counts(ivt_detect, cfg))
-        searches = [
-            (ivt_idt_detect, "dispersion_threshold_deg", grids.dispersion),
-            (ivmp_detect, "angle_threshold_rad", grids.angle),
-            (pca_ratio_detect, "pca_ratio_threshold", grids.pca_ratio),
-        ]
+        searches = {
+            "ivt-idt": (ivt_idt_detect, "dispersion_threshold_deg", grids.dispersion),
+            "ivmp": (ivmp_detect, "angle_threshold_rad", grids.angle),
+            "pca": (pca_ratio_detect, "pca_ratio_threshold", grids.pca_ratio),
+        }
         rng = np.random.default_rng(3)
-        assert len(stage2_counts) == grids.velocity.size * len(searches)
-        for k, grid_counts in enumerate(stage2_counts):
-            i, (detect, field, grid) = k // len(searches), searches[k % len(searches)]
+        assert 0 < len(stage2_rows) <= grids.velocity.size * len(searches)
+        for name, grid_counts, _ in stage2_rows:
+            detect, field, grid = searches[name]
+            i = velocity_row(ivt_counts, grid_counts)
             for j in rng.choice(grid.size, size=2, replace=False):
                 cfg = BaselineConfig(velocity_threshold_deg_s=float(grids.velocity[i]), **{field: float(grid[j])})
                 assert np.array_equal(grid_counts[j], counts(detect, cfg))
+        assert tuned == exhaustive_tuning(sequences, grids)
 
 
 def oracle_grid_counts(truth, pred):
@@ -238,14 +400,15 @@ def oracle_grid_counts(truth, pred):
 
 
 def oracle_sweep(truth, v, stats, velocity, stage2_grid):
-    """Counts of every grid point from its prediction matrix: ivt (velocity, 3, 3)
-    first, then per velocity candidate one (grid, 3, 3) per cascade, as tuning scores them."""
-    out = [oracle_grid_counts(truth, (v > velocity[:, None]).astype(np.int64))]
+    """Counts of every grid point from its prediction matrix: ivt (velocity, 3, 3),
+    and per velocity candidate i and cascade one (grid, 3, 3) under (i, cascade)."""
+    ivt = oracle_grid_counts(truth, (v > velocity[:, None]).astype(np.int64))
+    rows = {}
     for i, tau_v in enumerate(velocity):
         for name, (kind, _, side) in STAGE2.items():
             pursuit = side * stats[i][kind] > side * stage2_grid[name][:, None]
-            out.append(oracle_grid_counts(truth, np.where(v > tau_v, 1, np.where(pursuit, 2, 0))))
-    return out
+            rows[i, name] = oracle_grid_counts(truth, np.where(v > tau_v, 1, np.where(pursuit, 2, 0)))
+    return ivt, rows
 
 
 class TestCountSweepMatchesPredictionOracle:
@@ -287,34 +450,41 @@ class TestCountSweepMatchesPredictionOracle:
 
         v = random_values(velocity, 150.0)
         v[np.isnan(v)] = 0.0  # covered samples have a speed
-        stats = [
-            {kind: random_values(stage2_grid[name], 2 * stage2_grid[name].max()) for name, (kind, _, _) in STAGE2.items()}
-            for _ in velocity
-        ]
-        calls = iter(stats)
+        # stage 2 is a function of the stage-1 mask: one set of statistics per
+        # velocity value, looked up by its mask (distinct here for distinct values)
+        stats_of = {
+            tau: {kind: random_values(stage2_grid[name], 2 * stage2_grid[name].max()) for name, (kind, _, _) in STAGE2.items()}
+            for tau in np.unique(velocity)
+        }
+        masks = {tau: ~(v > tau) for tau in stats_of}
+        assert len({mask.tobytes() for mask in masks.values()}) == len(masks)
+
+        def lookup(x, y, mask, window_len, kinds):
+            (tau,) = [tau for tau, want in masks.items() if np.array_equal(mask, want)]
+            return stats_of[tau]
+
         stage1 = (None, None, np.zeros(m, bool), v, np.arange(m))  # x, y, still_bad, speed, covered
         monkeypatch.setattr(tuning, "_prepare", lambda seq, window_len, max_gap: stage1)
-        monkeypatch.setattr(tuning, "stage2_statistics", lambda x, y, mask, window_len, kinds: next(calls))
-        scored = []
+        rows = follow_sweep(monkeypatch, lookup)
+        sequences = [SimpleNamespace(labels=truth, source_id="random")]
+        tuned = tune_baselines(sequences, grids)
 
-        def spy(counts):
-            report = prf_from_counts(counts)
-            scored.append((np.asarray(counts), report.f1.mean(axis=-1)))
-            return report
-
-        monkeypatch.setattr(tuning, "prf_from_counts", spy)
-        tuned = tune_baselines([SimpleNamespace(labels=truth, source_id="random")], grids)
-
-        want = oracle_sweep(truth, v, stats, velocity, stage2_grid)
-        assert len(scored) == len(want)
-        for (counts, f1), want_counts in zip(scored, want):
+        stats = [stats_of[tau] for tau in velocity]
+        want_ivt, want_rows = oracle_sweep(truth, v, stats, velocity, stage2_grid)
+        ivt_counts, stage2_rows = rows()
+        assert np.array_equal(ivt_counts, want_ivt)
+        assert 0 < len(stage2_rows) <= velocity.size * len(STAGE2)
+        for name, counts, f1 in stage2_rows:
+            want_counts = want_rows[velocity_row(ivt_counts, counts), name]
             assert np.array_equal(counts, want_counts)
             want_f1 = prf_from_counts(want_counts).f1.mean(axis=-1)
             assert np.array_equal(f1.view(np.uint64), want_f1.view(np.uint64))
-        # first best in (velocity, stage-2) order
-        assert tuned["ivt"].velocity_threshold_deg_s == velocity[np.argmax(scored[0][1])]
-        for k, (name, (_, field, _)) in enumerate(STAGE2.items()):
-            f1 = np.stack([f for _, f in scored[1 + k :: len(STAGE2)]])
+        # first best in (velocity, stage-2) order over the whole grid
+        ivt_f1 = prf_from_counts(want_ivt).f1.mean(axis=-1)
+        assert tuned["ivt"].velocity_threshold_deg_s == velocity[np.argmax(ivt_f1)]
+        for name, (_, field, _) in STAGE2.items():
+            f1 = np.stack([prf_from_counts(want_rows[i, name]).f1.mean(axis=-1) for i in range(velocity.size)])
             i, j = np.unravel_index(np.argmax(f1), f1.shape)
             assert tuned[name].velocity_threshold_deg_s == velocity[i]
             assert getattr(tuned[name], field) == stage2_grid[name][j]
+        assert tuned == exhaustive_tuning(sequences, grids)
