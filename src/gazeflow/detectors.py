@@ -123,9 +123,17 @@ def cnn_detect(
     seq: GazeSequence,
     frontend: FrontendConfig = FrontendConfig(),
 ) -> DetectorOutput:
-    """Score every window center with the trained network."""
+    """Score every window center with the trained network; raises DetectorError
+    naming the first window whose scores overflow the network."""
     centers, feats = featurize_sequence(seq, frontend)
-    probs = score_windows(model, feats)
+    with np.errstate(over="ignore", invalid="ignore"):
+        probs = score_windows(model, feats)
+    finite = np.isfinite(probs).all(axis=1)
+    if not finite.all():
+        raise DetectorError(
+            f"scores must be finite: the window centred on sample {centers[np.argmin(finite)]} "
+            "overflows the network (coordinates out of range)"
+        )
     return DetectorOutput(
         n_samples=len(seq),
         sample_idx=centers,

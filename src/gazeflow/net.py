@@ -23,25 +23,26 @@ the batch-mean loss that train minimizes and backward_batch differentiates
 exactly. They are pure functions of immutable parameters, and training is
 bit-deterministic for a fixed seed.
 
+Training and scoring pool through one routine, _pool: the max of each
+region over the bias-free conv outputs, then the bias. It keeps no argmax:
+backward_batch routes each pooled gradient to the first offset whose biased
+output equals the pooled value (ForwardCache.pool_arg).
+
 Scoring many windows (frame_accuracy after every epoch, cnn_detect on a
 recording) goes through score_windows. It runs im2col, convolution and
 pooling SCORE_CHUNK (256) windows at a time and stacks the pooled
 features of up to FORWARD_CHUNK (65,536) windows for the dense layer and
-softmax. Its pooling takes the max alone and adds the bias after it, which
-gives the bits of the biased max but keeps no argmax: only backward_batch
-needs that. BLAS picks its kernel, and so its rounding, by a product's
-shape. On OpenBLAS's SkylakeX kernel a row of the conv GEMM comes out the
-same whatever the row count; that is a property of the kernel, not of BLAS
-(under its Haswell kernel a batched (B, positions) conv product differs from
-the one 2-D GEMM at 255 windows), so every score, model and hash is exact
-per platform. The dense layer's logits differ by up to ~5e-15 between row
-counts on any kernel. So the dense layer runs on the same row blocks as
-forward_batch over every FORWARD_CHUNK windows would, and the probabilities
-equal those bit for bit at any length, while the im2col columns and conv
-outputs held at once are those of one chunk. The same trap holds for the
-weights: the conv GEMM must read w2d.T as a transposed view, because a
-contiguous copy of it takes another BLAS path and changes the bits of every
-trained model.
+softmax, so the im2col columns and conv outputs held at once are those of
+one chunk. BLAS picks its kernel, and so its rounding, by a product's
+shape, so every score, model and hash is exact per platform. The dense
+layer's logits differ by up to ~5e-15 between row counts on any kernel, so
+the dense layer keeps FORWARD_CHUNK row blocks, and the scores are those of
+a pass that runs its conv GEMM on the same SCORE_CHUNK row blocks. On
+OpenBLAS's SkylakeX kernel a conv row also comes out the same for any row
+count, so there they equal one forward_batch per FORWARD_CHUNK windows; no
+test relies on that. The same trap holds for the weights: the conv GEMM
+must read w2d.T as a transposed view, because a contiguous copy of it takes
+another BLAS path and changes the bits of every trained model.
 """
 from __future__ import annotations
 
@@ -318,12 +319,22 @@ class TrainHistory:
 class ForwardCache:
     """Intermediate activations retained for the backward pass."""
 
-    cols: np.ndarray      # (B, positions, kernel_len * channels) im2col input
-    pool_arg: np.ndarray  # (B, regions, filters) argmax offset inside each region
-    flat: np.ndarray      # (B, flat_dim)
-    logits: np.ndarray    # (B, 3)
-    probs: np.ndarray     # (B, 3)
+    cols: np.ndarray    # (B, positions, kernel_len * channels) im2col input
+    slabs: np.ndarray   # (pool_factor, B, regions, filters) bias-free conv outputs, one slab per offset
+    flat: np.ndarray    # (B, flat_dim)
+    logits: np.ndarray  # (B, 3)
+    probs: np.ndarray   # (B, 3)
     params_ref: NetworkParams
+
+    @property
+    def pool_arg(self) -> np.ndarray:
+        """(B, regions, filters) offset of each region's maximum: the first
+        offset whose biased conv output equals the pooled value."""
+        pooled = self.flat.reshape(self.slabs.shape[1:])
+        arg = np.full(pooled.shape, self.slabs.shape[0] - 1, dtype=np.intp)
+        for j in range(self.slabs.shape[0] - 2, -1, -1):
+            np.putmask(arg, self.slabs[j] + self.params_ref.conv_b == pooled, j)
+        return arg
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -352,10 +363,9 @@ def _check_features(params: NetworkParams, feats: np.ndarray) -> None:
 
 
 def _conv(params: NetworkParams, feats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """im2col columns and bias-free conv outputs (B, positions, filters) of a window stack.
-
-    Each window's values are the same whatever the stack around it holds.
-    """
+    """im2col columns and bias-free conv outputs (B, positions, filters) of a
+    window stack. A window's columns do not depend on the rest of the stack;
+    whether its conv outputs do depends on the BLAS kernel."""
     B = feats.shape[0]
     F, K = params.n_filters, params.kernel_len
     positions = params.input_len - K + 1
@@ -372,44 +382,23 @@ def _conv(params: NetworkParams, feats: np.ndarray) -> tuple[np.ndarray, np.ndar
     return cols, (cols.reshape(-1, K * N_CHANNELS) @ w2d.T).reshape(B, positions, F)
 
 
-def _conv_pool(params: NetworkParams, feats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """im2col columns, pooling argmax and pooled features (B, flat_dim) of a
-    window stack: the forward pass that backward_batch differentiates."""
+def _pool(params: NetworkParams, feats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """im2col columns, offset slabs and pooled features (B, flat_dim) of a
+    window stack: the one pooling routine of forward_batch and score_windows.
+
+    The slabs are P contiguous (B, regions, filters) copies of the bias-free
+    conv outputs, one per offset in a region. The bias goes on after the max:
+    rounding is monotone, so fl(max_j c_j + b) == max_j fl(c_j + b).
+    """
     cols, conv = _conv(params, feats)
     B, F = feats.shape[0], params.n_filters
     R, P = params.n_regions, params.pool_factor
-    # the bias goes on while the pooled positions are copied into P
-    # contiguous (B, regions, filters) slabs, one per offset in a region
-    slabs = np.empty((P, B, R, F))
-    np.add(conv[:, : R * P].reshape(B, R, P, F).transpose(2, 0, 1, 3), params.conv_b, out=slabs)
-    # max over each region: a later offset takes the index only if strictly
-    # greater, so the first maximum wins ties (tied values are bit-equal, as
-    # a matmul plus bias never yields -0.0)
-    pool = slabs[0]
-    pool_arg = np.zeros((B, R, F), dtype=np.intp)
+    slabs = np.ascontiguousarray(conv[:, : R * P].reshape(B, R, P, F).transpose(2, 0, 1, 3))
+    pool = slabs[0].copy()
     for j in range(1, P):
-        np.putmask(pool_arg, slabs[j] > pool, j)
         np.maximum(pool, slabs[j], out=pool)
-    return cols, pool_arg, pool.reshape(B, R * F)
-
-
-def _score_pool(params: NetworkParams, feats: np.ndarray) -> np.ndarray:
-    """The pooled features of _conv_pool, bit for bit, without the argmax.
-
-    The max is taken over the bias-free conv outputs, in _conv_pool's offset
-    order, and the bias goes on after it. Correctly rounded addition is
-    monotone, so max_j fl(c_j + b) == fl(max_j c_j + b); where the maximum
-    is a zero, adding a zero bias gives the zero _conv_pool's max gives.
-    """
-    _, conv = _conv(params, feats)
-    B, F = feats.shape[0], params.n_filters
-    R, P = params.n_regions, params.pool_factor
-    regions = conv[:, : R * P].reshape(B, R, P, F)
-    pool = regions[:, :, 0].copy()
-    for j in range(1, P):
-        np.maximum(pool, regions[:, :, j], out=pool)
     pool += params.conv_b
-    return pool.reshape(B, R * F)
+    return cols, slabs, pool.reshape(B, R * F)
 
 
 def _dense(params: NetworkParams, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -421,19 +410,18 @@ def _dense(params: NetworkParams, flat: np.ndarray) -> tuple[np.ndarray, np.ndar
 def forward_batch(params: NetworkParams, feats: np.ndarray) -> ForwardCache:
     """Run the network over a (B, input_len, 2) feature stack."""
     _check_features(params, feats)
-    cols, pool_arg, flat = _conv_pool(params, feats)
+    cols, slabs, flat = _pool(params, feats)
     logits, probs = _dense(params, flat)
-    return ForwardCache(cols, pool_arg, flat, logits, probs, params)
+    return ForwardCache(cols, slabs, flat, logits, probs, params)
 
 
 def score_windows(params: NetworkParams, feats: np.ndarray) -> np.ndarray:
     """Class probabilities (n, 3) of an (n, input_len, 2) window stack.
 
     The scoring path of frame_accuracy and cnn_detect: convolution and
-    argmax-free pooling SCORE_CHUNK windows at a time, the dense layer and
-    softmax over the stacked pooled features of up to FORWARD_CHUNK
-    windows. Bit-equal to the probabilities of one forward_batch per
-    FORWARD_CHUNK windows (see the module docstring).
+    pooling SCORE_CHUNK windows at a time, the dense layer and softmax over
+    the stacked pooled features of up to FORWARD_CHUNK windows (see the
+    module docstring).
     """
     _check_features(params, feats)
     n = feats.shape[0]
@@ -443,7 +431,7 @@ def score_windows(params: NetworkParams, feats: np.ndarray) -> np.ndarray:
         block = feats[lo : lo + FORWARD_CHUNK]
         flat = pooled[: block.shape[0]]
         for c in range(0, block.shape[0], SCORE_CHUNK):
-            flat[c : c + SCORE_CHUNK] = _score_pool(params, block[c : c + SCORE_CHUNK])
+            flat[c : c + SCORE_CHUNK] = _pool(params, block[c : c + SCORE_CHUNK])[2]
         probs[lo : lo + block.shape[0]] = _dense(params, flat)[1]
     return probs
 

@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 
 import gazeflow.cli as cli
+from conftest import GOLDEN_KEY, assert_pinned
 from gazeflow.cli import main
 from gazeflow.detectors import BASELINE_DETECTORS, DetectorOutput, cnn_detect
-from gazeflow.features import FrontendConfig, split_dataset, split_recordings
+from gazeflow.features import FrontendConfig, featurize_sequence, split_dataset, split_recordings
 from gazeflow.gaze import CLASS_NAMES, GazeSequence, LabelClass, events_from_labels
 from gazeflow.gaze_io import read_gaze_csv, read_manifest, read_predictions_csv, write_gaze_csv
 from gazeflow.metrics import (
@@ -25,7 +26,7 @@ from gazeflow.metrics import (
     prf_from_confusion,
 )
 from gazeflow.model_io import corpus_fingerprint, load_model, load_split, model_crc, save_model
-from gazeflow.net import init_params, train
+from gazeflow.net import init_params, score_windows, train
 from gazeflow.simulate import StimulusConfig, generate_corpus, generate_sequence
 from gazeflow.tuning import tune_baselines
 
@@ -751,9 +752,11 @@ class TestFormat1Model:
         seq = generate_sequence(StimulusConfig(sequence_duration_s=2.0, seed=2), 0).sequence
         write_gaze_csv(seq, tmp_path / "g.csv")
         assert main(["detect", "--model", str(MODEL_V1), "--in", str(tmp_path / "g.csv"), "--out", str(tmp_path / "p.csv")]) == 0
-        # sha256 written by the format 1 reader
-        assert hashlib.sha256((tmp_path / "p.csv").read_bytes()).hexdigest() == (
-            "f2a6ab1f874388d757806ad5213a1f1581a8857274c73675034c7da9a5a92222"
+        # sha256 written by the format 1 reader, on platform key GOLDEN_KEY
+        assert_pinned(
+            hashlib.sha256((tmp_path / "p.csv").read_bytes()).hexdigest(),
+            "f2a6ab1f874388d757806ad5213a1f1581a8857274c73675034c7da9a5a92222",
+            GOLDEN_KEY,
         )
 
     def test_compare_derives_the_split_from_the_seed(self, tmp_path, tiny_config, capsys, monkeypatch):
@@ -893,6 +896,30 @@ def test_feature_overflow_is_one_error_line(tmp_path, capsys):
     assert code == 3
     assert one_error_line(capsys) == (
         "data error: features must be finite: the window centred on sample 15 overflows (coordinates out of range)"
+    )
+    assert not (tmp_path / "p.csv").exists()
+
+
+def test_network_overflow_is_one_error_line(tmp_path, capsys):
+    # finite features, but from sample 100 on the conv and dense products overflow
+    rng = np.random.default_rng(0)
+    scale = np.where(np.arange(200) < 100, 1.0, 1e307)
+    seq = GazeSequence(np.arange(200) * (1000 / 300), rng.normal(size=200) * scale,
+                       rng.normal(size=200) * scale, np.ones(200, bool))
+    write_gaze_csv(seq, tmp_path / "huge.csv")
+    save_model(init_params(0), tmp_path / "init.gznn")
+    centers, feats = featurize_sequence(seq)
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite = np.isfinite(score_windows(init_params(0), feats)).all(axis=1)
+    first = centers[np.argmin(finite)]
+    assert np.isfinite(feats).all() and finite[:10].all() and not finite.all()
+    capsys.readouterr()
+    code = main(["detect", "--model", str(tmp_path / "init.gznn"), "--in", str(tmp_path / "huge.csv"),
+                 "--out", str(tmp_path / "p.csv")])
+    assert code == 3
+    assert one_error_line(capsys) == (
+        f"data error: scores must be finite: the window centred on sample {first} overflows the network "
+        "(coordinates out of range)"
     )
     assert not (tmp_path / "p.csv").exists()
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
+from conftest import GOLDEN_KEY, assert_pinned
 from gazeflow.detectors import cnn_detect
 from gazeflow import net
 from gazeflow.features import featurize_sequence
@@ -670,22 +671,25 @@ class TestAgainstArrayOracle:
 
 
 # ---------------------------------------------------------------------------
-# the earlier scoring: one forward_batch per FORWARD_CHUNK windows, kept as the
-# oracle that the chunked scoring path must match bit for bit
+# the earlier scoring: one forward pass per FORWARD_CHUNK windows, kept as the
+# oracle that the chunked scoring path must match bit for bit on any platform
 
 
 def one_pass_forward(params, feats):
-    """The earlier forward_batch's probabilities: np.take im2col, one conv GEMM
-    and strided pooling over the whole stack, then the dense layer. The conv
-    GEMM is the 2-D (B * positions, K * 2) product _conv_pool runs: a batched
-    (B, positions) product rounds differently on some BLAS kernels."""
+    """The earlier forward_batch's probabilities: np.take im2col, the conv
+    GEMM, the bias and strided pooling over the whole stack, then the dense
+    layer. The conv GEMM runs the 2-D (rows * positions, K * 2) products of
+    score_windows, on the same SCORE_CHUNK row blocks: under some BLAS
+    kernels a conv row's bits depend on the row count."""
     B = feats.shape[0]
     F, K = params.n_filters, params.kernel_len
     R, P = params.n_regions, params.pool_factor
     taps = np.arange(params.input_len - K + 1)[:, None] + np.arange(K)
     index = (taps[:, :, None] * 2 + np.arange(2)).reshape(taps.shape[0], -1)
     cols = np.take(feats.reshape(B, -1), index, axis=1)
-    conv = (cols.reshape(-1, K * 2) @ params.conv_w.reshape(F, K * 2).T).reshape(B, -1, F) + params.conv_b
+    w = params.conv_w.reshape(F, K * 2).T
+    blocks = [block.reshape(-1, K * 2) @ w for block in np.split(cols, range(SCORE_CHUNK, B, SCORE_CHUNK))]
+    conv = np.concatenate(blocks).reshape(B, -1, F) + params.conv_b
     regions = conv[:, : R * P].reshape(B, R, P, F)
     pool = regions[:, :, 0, :].copy()
     for j in range(1, P):
@@ -751,6 +755,23 @@ def with_conv_bias(params, bias):
     return NetworkParams(params.conv_w, np.broadcast_to(bias, params.conv_b.shape), params.dense_w, params.dense_b)
 
 
+def biased_argmax_pool(params, feats):
+    """The earlier training pool, net._conv_pool, kept as the oracle of _pool
+    and pool_arg: the bias goes on first, and a later offset takes the argmax
+    only if strictly greater, so the first maximum wins ties."""
+    _, conv = net._conv(params, feats)
+    B, F = feats.shape[0], params.n_filters
+    R, P = params.n_regions, params.pool_factor
+    slabs = np.empty((P, B, R, F))
+    np.add(conv[:, : R * P].reshape(B, R, P, F).transpose(2, 0, 1, 3), params.conv_b, out=slabs)
+    pool = slabs[0]
+    pool_arg = np.zeros((B, R, F), dtype=np.intp)
+    for j in range(1, P):
+        np.putmask(pool_arg, slabs[j] > pool, j)
+        np.maximum(pool, slabs[j], out=pool)
+    return pool_arg, pool.reshape(B, R * F)
+
+
 BIASES = {
     "zero": 0.0,
     "minus-zero": -0.0,
@@ -760,8 +781,18 @@ BIASES = {
 
 
 class TestScoringPool:
-    """score_windows pools with the max alone and adds the bias after it; the
-    pooled features must be those of _conv_pool, which adds it first."""
+    """_pool takes the max alone and adds the bias after it, and pool_arg
+    finds the winning offsets afterwards; both must match the biased argmax
+    pool, which adds the bias first."""
+
+    def assert_matches_the_biased_argmax_pool(self, params, feats):
+        with np.errstate(over="ignore", invalid="ignore"):
+            want_arg, want = biased_argmax_pool(params, feats)
+            cache = forward_batch(params, feats)
+            pool_arg = cache.pool_arg
+        assert np.array_equal(bits(cache.flat), bits(want))
+        assert np.array_equal(pool_arg, want_arg)
+        return want
 
     @pytest.mark.parametrize("bias", sorted(BIASES))
     def test_equals_the_biased_argmax_pool_on_windows(self, bias):
@@ -774,10 +805,7 @@ class TestScoringPool:
             np.repeat(rng.normal(size=(10, 6, 2)), 5, axis=1),  # steps of 5 samples
             rng.normal(size=(10, 30, 2)) * 1e306,  # conv outputs and biased sums near overflow
         ])
-        with np.errstate(over="ignore"):
-            want = net._conv_pool(params, feats)[2]
-            got = net._score_pool(params, feats)
-        assert np.array_equal(bits(got), bits(want))
+        self.assert_matches_the_biased_argmax_pool(params, feats)
 
     @pytest.mark.parametrize("bias", sorted(BIASES))
     def test_equals_the_biased_argmax_pool_on_drawn_conv_outputs(self, monkeypatch, bias):
@@ -788,11 +816,7 @@ class TestScoringPool:
         values = [-0.0, 0.0, 5e-324, -5e-324, 1.0, -1.0, 1e308, -1e308, np.finfo(float).max, -np.finfo(float).max]
         conv = rng.choice(values, size=(64, 21, params.n_filters))
         monkeypatch.setattr(net, "_conv", lambda params, feats: (None, conv))
-        feats = np.zeros((64, 30, 2))
-        with np.errstate(over="ignore"):
-            want = net._conv_pool(params, feats)[2]
-            got = net._score_pool(params, feats)
-        assert np.array_equal(bits(got), bits(want))
+        want = self.assert_matches_the_biased_argmax_pool(params, np.zeros((64, 30, 2)))
         if bias in ("minus-zero", "mixed"):  # a -0.0 bias keeps -0.0 maxima
             assert (np.signbit(want) & (want == 0)).any()
 
@@ -829,7 +853,8 @@ def train_digest(params, history):
 
 
 # sha256 prefixes of the weights and the history repr, as the earlier
-# train(), with one best-tracking loop per phase, produced them. On the
+# train(), with one best-tracking loop per phase, produced them on platform
+# key GOLDEN_KEY. On the
 # random-label split the best epoch is phase 1's first, so "best" and "final"
 # differ; on the noisy split the (4, 3) best is phase 2's last, and the (4, 0)
 # best is a tie at phase-1 epochs 2 and 3 that the earlier epoch wins.
@@ -853,7 +878,7 @@ def test_train_golden_hashes(data, epochs1, epochs2, keep, digest):
     cfg = TrainConfig(
         phase1=PhaseConfig(epochs1, PHASE1_ADAM), phase2=PhaseConfig(epochs2, PHASE2_ADAM), seed=9, keep=keep
     )
-    assert train_digest(*train(split, cfg)) == digest
+    assert_pinned(train_digest(*train(split, cfg)), digest, GOLDEN_KEY)
 
 
 class TestTrainResources:
