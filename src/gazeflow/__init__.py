@@ -24,7 +24,6 @@ from .features import (
 from .net import (
     AdamConfig,
     AdamState,
-    Gradients,
     NetError,
     NetworkParams,
     PhaseConfig,

@@ -32,6 +32,7 @@ from .gaze import (
     GazeSequence,
     LabelClass,
     events_from_labels,
+    naming_errors,
 )
 from .gaze_io import (
     DataFormatError,
@@ -176,7 +177,12 @@ def cmd_train(args: argparse.Namespace, cfg: RunConfig, seed: int) -> int:
     corpus = corpus_fingerprint(files)  # of the bytes about to be parsed, not of what is there after training
     seqs = _read_labeled(files)
     split = split_dataset(seqs, cfg.frontend, seed)
-    params, history = train(split, cfg.train)
+    try:
+        params, history = train(split, cfg.train)
+    except TrainingError as exc:
+        if exc.recording is not None:
+            raise TrainingError(f"{exc}: recording {seqs[exc.recording].source_id} overflows the network") from None
+        raise
     # the split decided above, for compare: its seed, the corpus and the validation and test names
     val, test = (tuple(p.name for p, k in zip(files, split.part) if k == part) for part in (1, 2))
     save_model(params, args.out, ModelSplit(seed, *corpus, val, test))
@@ -312,10 +318,11 @@ def cmd_compare(args: argparse.Namespace, cfg: RunConfig, seed: int) -> int:
     rows = []
     truth_all = np.concatenate([s.labels for s in test_seqs])
     for name in ("cnn", *BASELINE_DETECTORS):
-        if name == "cnn":
-            outs = [cnn_detect(model, seq, cfg.frontend) for seq in test_seqs]
-        else:
-            outs = [BASELINE_DETECTORS[name](seq, tuned[name], max_gap) for seq in test_seqs]
+        outs = []
+        for seq in test_seqs:
+            with naming_errors(seq):
+                outs.append(cnn_detect(model, seq, cfg.frontend) if name == "cnn"
+                            else BASELINE_DETECTORS[name](seq, tuned[name], max_gap))
         classes = BASELINE_EVAL_CLASSES.get(name, tuple(LabelClass))
         pooled = concat_outputs(outs)
         ova = one_vs_all_auc(pooled, truth_all)
@@ -448,6 +455,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except MemoryError as exc:  # such as an array too large to allocate
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -2,10 +2,10 @@
 
 Every detector returns a DetectorOutput: a strictly increasing list of
 covered sample indices, a (fixation, saccade, pursuit) score triple per
-covered sample, and the argmax label. Scores are normalized to sum to one
-and are built so that each channel is monotone in the detector's underlying
-statistic, which lets the same output feed thresholded labeling, ROC sweeps
-and the prediction CSV without translation.
+covered sample, and the argmax label computed from it. Scores are normalized
+to sum to one and are built so that each channel is monotone in the
+detector's underlying statistic, which lets the same output feed thresholded
+labeling, ROC sweeps and the prediction CSV without translation.
 
 The threshold baselines share one stage 1: gaps of up to the frontend's
 interp_max_gap samples are repaired, the central-difference velocity is
@@ -22,7 +22,7 @@ tracking gap.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -72,30 +72,27 @@ class BaselineConfig:
 
 @dataclass(frozen=True)
 class DetectorOutput:
-    """Per-sample scores and labels over the covered part of a sequence."""
+    """Per-sample scores over the covered part of a sequence, and the labels
+    computed from them: each triple's argmax as int8, ties to the lowest code."""
 
     n_samples: int
     sample_idx: np.ndarray  # (m,) strictly increasing
     scores: np.ndarray  # (m, 3)
-    labels: np.ndarray  # (m,)
+    labels: np.ndarray = field(init=False)  # (m,)
 
     def __post_init__(self):
         idx = np.asarray(self.sample_idx, dtype=np.int64)
         scores = np.asarray(self.scores, dtype=np.float64)
-        labels = np.asarray(self.labels)
         m = idx.shape[0]
-        if scores.shape != (m, N_CLASSES) or labels.shape != (m,):
-            raise DetectorError("scores/labels must match the covered sample count")
+        if scores.shape != (m, N_CLASSES):
+            raise DetectorError("scores must match the covered sample count")
         if m and (idx[0] < 0 or idx[-1] >= self.n_samples):
             raise DetectorError("sample indices out of range")
         if m > 1 and not np.all(np.diff(idx) > 0):
             raise DetectorError("sample indices must be strictly increasing")
         if not np.isfinite(scores).all():
             raise DetectorError("scores must be finite")
-        # on the given values: a cast first would wrap 256 to the class code 0
-        if m and not np.array_equal(labels, scores.argmax(axis=1)):
-            raise DetectorError("labels must equal argmax(scores) with lowest-code ties")
-        labels = labels.astype(np.int8, copy=False)
+        labels = scores.argmax(axis=1).astype(np.int8)
         for name, arr in (("sample_idx", idx), ("scores", scores), ("labels", labels)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -134,12 +131,7 @@ def cnn_detect(
             f"scores must be finite: the window centred on sample {centers[np.argmin(finite)]} "
             "overflows the network (coordinates out of range)"
         )
-    return DetectorOutput(
-        n_samples=len(seq),
-        sample_idx=centers,
-        scores=probs,
-        labels=probs.argmax(axis=1),
-    )
+    return DetectorOutput(len(seq), centers, probs)
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +350,7 @@ def _output(n_samples: int, covered: np.ndarray, p_sac: np.ndarray, rho) -> Dete
     rem = 1.0 - p_sac
     p_pur = rem * rho
     scores = np.stack([rem - p_pur, p_sac, p_pur], axis=1)
-    return DetectorOutput(n_samples, covered, scores, scores.argmax(axis=1))
+    return DetectorOutput(n_samples, covered, scores)
 
 
 def ivt_detect(
@@ -453,7 +445,6 @@ def concat_outputs(outputs: list[DetectorOutput]) -> DetectorOutput:
         n_samples=offset,
         sample_idx=np.concatenate(idx_parts),
         scores=np.concatenate([o.scores for o in outputs]),
-        labels=np.concatenate([o.labels for o in outputs]),
     )
 
 

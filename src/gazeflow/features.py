@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .gaze import DEFAULT_SPLIT_RATIOS, DatasetSplit, GazeSequence, WindowSet, split_units
+from .gaze import DEFAULT_SPLIT_RATIOS, DatasetSplit, GazeSequence, WindowSet, naming_errors, split_units
 
 FEATURIZE_CHUNK = 1024  # windows per copy, demean, FFT and magnitude pass
 
@@ -57,27 +57,26 @@ def repair_sequence(seq: GazeSequence, max_gap: int) -> tuple[np.ndarray, np.nda
     """Fill short invalid runs by linear interpolation over time.
 
     Returns (x, y, still_bad): runs longer than max_gap, or runs touching a
-    sequence boundary, are left in place and flagged in still_bad.
+    sequence boundary, are left in place and flagged in still_bad. One
+    np.interp per channel fills every run, with the bits of interpolating
+    each run between its two valid neighbours alone.
     """
     x = np.array(seq.x_deg, dtype=np.float64)
     y = np.array(seq.y_deg, dtype=np.float64)
     bad = ~np.asarray(seq.valid, dtype=bool)
     n = x.shape[0]
-    if not bad.any():
+    if bad.all() or not bad.any():  # nothing to interpolate from, or nothing to repair
         return x, y, bad
 
-    still_bad = bad.copy()
     edges = np.flatnonzero(np.diff(bad.astype(np.int8)))
     starts = np.concatenate([[0], edges + 1])
     ends = np.concatenate([edges, [n - 1]])  # inclusive: runs alternate valid and invalid
     repair = bad[starts] & (ends - starts + 1 <= max_gap) & (starts > 0) & (ends < n - 1)
-    t = seq.t_ms
-    for s, e in zip(starts[repair], ends[repair]):
-        span = [t[s - 1], t[e + 1]]
-        x[s : e + 1] = np.interp(t[s : e + 1], span, [x[s - 1], x[e + 1]])
-        y[s : e + 1] = np.interp(t[s : e + 1], span, [y[s - 1], y[e + 1]])
-        still_bad[s : e + 1] = False
-    return x, y, still_bad
+    fill = np.repeat(repair, ends - starts + 1)
+    t, ok = seq.t_ms, ~bad
+    x[fill] = np.interp(t[fill], t[ok], x[ok])
+    y[fill] = np.interp(t[fill], t[ok], y[ok])
+    return x, y, bad & ~fill
 
 
 def window_starts(still_bad: np.ndarray, window_len: int, stride: int = 1) -> np.ndarray:
@@ -199,7 +198,8 @@ def split_dataset(
         k = part[gi]
         if k not in (0, 1):
             continue
-        centers, feats = featurize_sequence(seq, config)  # looked up as a module global, so it can be wrapped
+        with naming_errors(seq):
+            centers, feats = featurize_sequence(seq, config)  # looked up as a module global, so it can be wrapped
         ws, lo, hi = parts[k], filled[k], filled[k] + centers.size
         ws.features[lo:hi] = feats
         ws.labels[lo:hi] = seq.labels[centers]

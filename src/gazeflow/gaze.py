@@ -5,9 +5,10 @@ heavier numerics live in the other modules.
 """
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -75,6 +76,15 @@ class GazeSequence:
 
     def __len__(self) -> int:
         return self.t_ms.shape[0]
+
+
+@contextmanager
+def naming_errors(seq: GazeSequence) -> Iterator[None]:
+    """Prefix "recording <seq.source_id>: " to a ValueError raised in the block."""
+    try:
+        yield
+    except ValueError as exc:
+        raise type(exc)(f"recording {seq.source_id}: {exc}") from None
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from typing import IO, Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .detectors import DetectorOutput
-from .gaze import GazeSequence, N_CLASSES
+from .gaze import GazeSequence
 
 GAZE_HEADER = ["t_ms", "x_deg", "y_deg", "valid", "label"]
 PRED_HEADER = ["sample_idx", "p_fix", "p_sac", "p_pur", "label", "covered"]
@@ -62,15 +62,17 @@ def atomic_open(path: str | Path, mode: str = "w", **kwargs) -> Iterator[IO]:
     tmp = path.with_name(f".{path.name}.{secrets.token_hex(4)}.tmp")
     try:
         fh = open(tmp, mode.replace("w", "x"), **kwargs)
-    except OSError as exc:  # such as a missing directory: name the target, not the temporary file
+        try:
+            with fh:
+                yield fh
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
+    except OSError as exc:  # such as a missing directory or a directory at path: name the target
+        if exc.filename != str(tmp):
+            raise
         raise type(exc)(exc.errno, exc.strerror, str(path)) from None
-    try:
-        with fh:
-            yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
 
 
 def write_csv(path: str | Path, header: Sequence[str], columns: Sequence[Iterable[str]]) -> None:
@@ -208,12 +210,13 @@ def read_predictions_csv(path: str | Path) -> DetectorOutput:
          "uncovered rows must be empty"),
         (bad_flag, "covered flag must be 0 or 1"),
     ])
-    # clipped to -1..3, a label that is no class code fails the argmax check, never int8 overflow
-    labels = np.clip(labels[0], -1, N_CLASSES)
     try:
-        return DetectorOutput(len(cov), covered, np.column_stack([s for s, _ in scores]), labels)
+        preds = DetectorOutput(len(cov), covered, np.column_stack([s for s, _ in scores]))
     except ValueError as exc:
         raise DataFormatError(f"{path}: {exc}") from None
+    if labels[0] != preds.labels.tolist():  # Python ints: a label of 256 is not wrapped to 0
+        raise DataFormatError(f"{path}: labels must equal argmax(scores) with lowest-code ties")
+    return preds
 
 
 def write_trace_csv(seq: GazeSequence, preds: DetectorOutput, path: str | Path) -> None:

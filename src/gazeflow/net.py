@@ -11,12 +11,12 @@ All arithmetic is float64. The weights live in one contiguous vector,
 ordered conv_w, conv_b, dense_w, dense_b (the model file's payload order);
 the four named arrays are read-only views into it. param_shapes is the one
 rule that turns a layer geometry into those four shapes: the constructors,
-the model loader and the config check all go through it. Gradients and the
-Adam moments share that layout, so an optimizer step is a few whole-vector
-operations, and _like is the one way a step's result vector becomes a new
-weight object of the same geometry without a copy. The convolution unfolds
-each batch into im2col columns with one strided copy, so memory grows with
-the batch and not with the training set.
+the model loader and the config check all go through it. A gradient and
+the Adam moments are plain read-only vectors in that layout, so an optimizer
+step is a few whole-vector operations, and NetworkParams._like is the one
+way a step's result vector becomes new weights of the same geometry without
+a copy. The convolution unfolds each batch into im2col columns with one
+strided copy, so memory grows with the batch and not with the training set.
 There is one path per computation: forward_batch and backward_batch over a
 window stack (a single window is a stack of one), and loss_cross_entropy,
 the batch-mean loss that train minimizes and backward_batch differentiates
@@ -70,7 +70,11 @@ class NetError(ValueError):
 
 
 class TrainingError(ValueError):
-    """Bad training inputs (empty splits, invalid configuration) or a diverged run."""
+    """Bad training inputs or a diverged run; recording is the group of a window that overflows the initial weights."""
+
+    def __init__(self, message: str, recording: int | None = None):
+        super().__init__(message)
+        self.recording = recording
 
 
 def param_shapes(
@@ -112,33 +116,12 @@ def _bind(obj, vector: np.ndarray, shapes):
     vector.setflags(write=False)
     attrs = obj.__dict__  # past the frozen dataclass's __setattr__, as object.__setattr__ would go
     attrs["vector"] = vector
-    for name, lo, hi, shape in _layout(shapes):
-        attrs[name] = vector[lo:hi].reshape(shape)
+    attrs.update(zip(_PARAM_FIELDS, _views(vector, shapes)))
     return obj
 
 
-class _WeightVector:
-    """Shared behaviour of the objects that hold one weight-shaped vector."""
-
-    vector: np.ndarray
-
-    @property
-    def shapes(self) -> tuple[tuple[int, ...], ...]:
-        return (self.conv_w.shape, self.conv_b.shape, self.dense_w.shape, self.dense_b.shape)
-
-    def arrays(self) -> Iterable[tuple[str, np.ndarray]]:
-        for name in _PARAM_FIELDS:
-            yield name, getattr(self, name)
-
-    def _like(self, vector: np.ndarray):
-        """The same type and geometry over `vector`, which is taken over, not copied."""
-        new = object.__new__(type(self))
-        new.__dict__.update(self.__dict__)
-        return _bind(new, vector, self.shapes)
-
-
 @dataclass(frozen=True)
-class NetworkParams(_WeightVector):
+class NetworkParams:
     """All learnable weights plus the fixed layer geometry.
 
     conv_w is indexed [filter][tap][channel]; dense_w is [class][flat] with
@@ -174,15 +157,9 @@ class NetworkParams(_WeightVector):
     ) -> "NetworkParams":
         """Validated parameters from a flat vector in payload order (copied)."""
         shapes = param_shapes(input_len, kernel_len, pool_factor, n_filters)
-        sizes = [math.prod(shape) for shape in shapes]
-        if vector.shape != (sum(sizes),):
+        if vector.shape != (sum(math.prod(shape) for shape in shapes),):
             raise NetError("weight vector does not match the layer geometry")
-        parts = np.split(vector, np.cumsum(sizes[:-1]))
-        return cls(
-            *(part.reshape(shape) for part, shape in zip(parts, shapes)),
-            pool_factor=pool_factor,
-            input_len=input_len,
-        )
+        return cls(*_views(vector, shapes), pool_factor=pool_factor, input_len=input_len)
 
     @property
     def kernel_len(self) -> int:
@@ -200,20 +177,19 @@ class NetworkParams(_WeightVector):
     def flat_dim(self) -> int:
         return self.dense_w.shape[1]
 
+    @property
+    def shapes(self) -> tuple[tuple[int, ...], ...]:
+        return (self.conv_w.shape, self.conv_b.shape, self.dense_w.shape, self.dense_b.shape)
 
-@dataclass(frozen=True)
-class Gradients(_WeightVector):
-    """Loss gradients, mirroring the NetworkParams array shapes and layout."""
+    def arrays(self) -> Iterable[tuple[str, np.ndarray]]:
+        for name in _PARAM_FIELDS:
+            yield name, getattr(self, name)
 
-    conv_w: np.ndarray
-    conv_b: np.ndarray
-    dense_w: np.ndarray
-    dense_b: np.ndarray
-    vector: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        arrays = [np.asarray(getattr(self, name), dtype=np.float64) for name in _PARAM_FIELDS]
-        _bind(self, np.concatenate([a.ravel() for a in arrays]), tuple(a.shape for a in arrays))
+    def _like(self, vector: np.ndarray) -> "NetworkParams":
+        """The same geometry over `vector`, which is taken over, not copied."""
+        new = object.__new__(type(self))
+        new.__dict__.update(self.__dict__)
+        return _bind(new, vector, self.shapes)
 
 
 @dataclass(frozen=True)
@@ -236,15 +212,17 @@ class AdamConfig:
 
 @dataclass(frozen=True)
 class AdamState:
-    """First/second moment estimates and the step counter."""
+    """First/second moment estimates, read-only vectors in the weight vector's
+    layout, and the step counter."""
 
-    m: Gradients
-    v: Gradients
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
 
     @classmethod
     def zeros(cls, params: NetworkParams) -> "AdamState":
-        zero = Gradients(*(np.zeros(shape) for shape in params.shapes))
+        zero = np.zeros(params.vector.size)
+        zero.setflags(write=False)
         return cls(m=zero, v=zero, t=0)
 
 
@@ -436,8 +414,9 @@ def score_windows(params: NetworkParams, feats: np.ndarray) -> np.ndarray:
     return probs
 
 
-def backward_batch(params: NetworkParams, cache: ForwardCache, truths: np.ndarray) -> Gradients:
-    """Exact analytic gradient of loss_cross_entropy(cache.probs, truths).
+def backward_batch(params: NetworkParams, cache: ForwardCache, truths: np.ndarray) -> np.ndarray:
+    """Exact analytic gradient of loss_cross_entropy(cache.probs, truths): a
+    read-only vector in the layout of params.vector.
 
     Softmax probabilities are strictly positive, so the loss floor never
     binds mathematically; the gradient of the combined softmax/cross-entropy
@@ -467,7 +446,8 @@ def backward_batch(params: NetworkParams, cache: ForwardCache, truths: np.ndarra
     # dconv holds dflat's values in the same order, with zeros between them:
     # summing dflat adds the same numbers, so the bias gradient is bit-equal
     np.sum(dflat.reshape(-1, F), axis=0, out=d_conv_b)
-    return _bind(object.__new__(Gradients), vector, params.shapes)
+    vector.setflags(write=False)
+    return vector
 
 
 def loss_cross_entropy(probs: np.ndarray, truths: np.ndarray) -> float:
@@ -481,7 +461,7 @@ def loss_cross_entropy(probs: np.ndarray, truths: np.ndarray) -> float:
 
 
 def adam_step(
-    params: NetworkParams, grads: Gradients, state: AdamState, config: AdamConfig
+    params: NetworkParams, grad: np.ndarray, state: AdamState, config: AdamConfig
 ) -> tuple[NetworkParams, AdamState]:
     """One bias-corrected Adam update; returns fresh params and state.
 
@@ -491,15 +471,16 @@ def adam_step(
     b1, b2 = config.beta1, config.beta2
     bc1 = 1.0 - b1**t
     bc2 = 1.0 - b2**t
-    g = grads.vector
-    m = b1 * state.m.vector + (1.0 - b1) * g
-    v = b2 * state.v.vector + (1.0 - b2) * g * g
+    m = b1 * state.m + (1.0 - b1) * grad
+    v = b2 * state.v + (1.0 - b2) * grad * grad
     m_hat = m / bc1
     v_hat = v / bc2
     theta = params.vector - config.alpha * m_hat / (np.sqrt(v_hat) + config.epsilon)
     if not np.isfinite(theta).all():
         raise NetError("weights must be finite")
-    return params._like(theta), AdamState(m=state.m._like(m), v=state.v._like(v), t=t)
+    m.setflags(write=False)
+    v.setflags(write=False)
+    return params._like(theta), AdamState(m=m, v=v, t=t)
 
 
 # ---------------------------------------------------------------------------
@@ -553,7 +534,7 @@ def train(
         raise TrainingError("train and validation parts must be non-empty")
 
     input_len = split.train.features.shape[1]
-    params = init_params(
+    params = initial = init_params(
         config.seed,
         kernel_len=config.kernel_len,
         input_len=input_len,
@@ -580,13 +561,15 @@ def train(
                     cache = forward_batch(params, features[idx])
                     loss = loss_cross_entropy(cache.probs, truths)
                     if not math.isfinite(loss):
+                        bad = idx[~np.isfinite(score_windows(initial, features[idx])).all(axis=1)]
                         raise TrainingError(
-                            f"training diverged: non-finite loss in phase {phase_no}, epoch {epoch}, batch {batch}"
+                            f"training diverged: non-finite loss in phase {phase_no}, epoch {epoch}, batch {batch}",
+                            int(split.train.groups[bad[0]]) if bad.size else None,
                         )
                     losses.append(loss)
-                    grads = backward_batch(params, cache, truths)
+                    grad = backward_batch(params, cache, truths)
                     try:
-                        params, state = adam_step(params, grads, state, phase.adam)
+                        params, state = adam_step(params, grad, state, phase.adam)
                     except NetError:
                         raise TrainingError(
                             f"training diverged: non-finite weights after phase {phase_no}, epoch {epoch}, batch {batch}"

@@ -35,7 +35,7 @@ import numpy as np
 
 from .detectors import STAGE2, BaselineConfig, DetectorError, _prepare, stage2_statistics
 from .features import FrontendConfig
-from .gaze import N_CLASSES, GazeSequence, LabelClass
+from .gaze import N_CLASSES, GazeSequence, LabelClass, naming_errors
 from .metrics import prf_from_counts
 
 # slack on the pruning bound, far above its rounding error (a few ulps); more
@@ -126,7 +126,10 @@ def tune_baselines(
             raise DetectorError(f"sequence {seq.source_id!r} has no labels for tuning")
 
     # stage 1 once per sequence, and stage 2 per sequence as the detectors run it
-    prepared = [_prepare(seq, window_len, max_gap) for seq in sequences]
+    prepared = []
+    for seq in sequences:
+        with naming_errors(seq):
+            prepared.append(_prepare(seq, window_len, max_gap))
     covered = [cov for *_, cov in prepared]
     truth = np.concatenate([seq.labels[cov] for seq, cov in zip(sequences, covered)]).astype(np.int64)
     v_cov = np.concatenate([v[cov] for *_, v, cov in prepared])

@@ -35,10 +35,10 @@ from gazeflow.net import (
     PHASE2_ADAM,
     AdamConfig,
     AdamState,
-    Gradients,
     NetworkParams,
     PhaseConfig,
     TrainConfig,
+    _views,
     adam_step,
     backward_batch,
     forward_batch,
@@ -104,9 +104,8 @@ def test_criterion_02_gradients_match_finite_differences():
         )
         feat = rng.normal(scale=2.0, size=(1, 30, 2))  # a batch of one window
         truth = np.array([rng.integers(3)])
-        grads = backward_batch(params, forward_batch(params, feat), truth)
-        for name, arr in params.arrays():
-            g = getattr(grads, name)
+        grads = _views(backward_batch(params, forward_batch(params, feat), truth), params.shapes)
+        for (name, arr), g in zip(params.arrays(), grads):
             for flat_k in range(arr.size):
                 plus = arr.copy().ravel()
                 plus[flat_k] += h
@@ -142,12 +141,8 @@ def scalar_net(theta):
 
 
 def scalar_grad(g):
-    return Gradients(
-        conv_w=np.full((10, 10, 2), g),
-        conv_b=np.zeros(10),
-        dense_w=np.zeros((3, 40)),
-        dense_b=np.zeros(3),
-    )
+    """A gradient vector in payload order: g on every conv weight, zero elsewhere."""
+    return np.concatenate([np.full(10 * 10 * 2, g), np.zeros(10 + 3 * 40 + 3)])
 
 
 def test_criterion_03_adam_scalar_oracles():
@@ -237,7 +232,7 @@ def test_criterion_05_metric_oracles():
     labels = scores.argmax(axis=1)
     covered = rng.uniform(size=2000) < 0.9
     idx = np.flatnonzero(covered)
-    preds = DetectorOutput(2000, idx, scores[idx], labels[idx])
+    preds = DetectorOutput(2000, idx, scores[idx])
 
     cm = confusion(preds, truth)
     tally = np.zeros((3, 3), dtype=int)

@@ -224,7 +224,7 @@ class TestTrainDetectEvalTrace:
         n = len(seq)
         scores = np.full((n, 3), 0.05)
         scores[np.arange(n), seq.labels] = 0.9
-        preds = DetectorOutput(n, np.arange(n), scores, seq.labels.astype(np.int64))
+        preds = DetectorOutput(n, np.arange(n), scores)
         preds_file = tmp_path / "perfect.csv"
         write_predictions_csv(preds, preds_file)
         report_dir = tmp_path / "perfect-report"
@@ -353,6 +353,7 @@ class TestDataErrors:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1
         assert "diverged" in err[0] and "phase 1, epoch 0, batch" in err[0]
+        assert "recording" not in err[0]  # the learning rate overflows the network, not a recording's windows
         assert not model.exists()
         assert not Path(f"{model}.history.csv").exists()
 
@@ -924,6 +925,46 @@ def test_network_overflow_is_one_error_line(tmp_path, capsys):
     assert not (tmp_path / "p.csv").exists()
 
 
+class TestDataErrorsNameTheRecording:
+    """One recording of eight overflows in its second half (N(0, 1) x 1e307
+    coordinates). Dealt to any part of the split, train or compare ends in
+    one line that names it."""
+
+    SEED = "6"
+
+    def corpus(self, tmp_path, tiny_config, part):
+        data = synth(tmp_path, tiny_config, n=8, seed=int(self.SEED))
+        files = sorted(data.glob("*.csv"))
+        seqs = [read_gaze_csv(p) for p in files]
+        k = int(np.flatnonzero(split_recordings(seqs, FrontendConfig(), int(self.SEED))[0] == part)[0])
+        seq, rng = seqs[k], np.random.default_rng(0)
+        huge = seq.valid & (np.arange(len(seq)) >= len(seq) // 2)  # finite: the recording keeps its windows
+
+        def overflow(c):
+            return np.where(huge, rng.normal(size=len(seq)) * 1e307, c)
+
+        write_gaze_csv(replace(seq, x_deg=overflow(seq.x_deg), y_deg=overflow(seq.y_deg)), files[k])
+        return data, seq.source_id
+
+    def run(self, capsys, *argv):
+        capsys.readouterr()
+        return main([*argv, "--seed", self.SEED])
+
+    @pytest.mark.parametrize("part", [2, 1, 0], ids=["test", "validation", "train"])
+    def test_train_then_compare(self, tmp_path, tiny_config, capsys, part):
+        data, name = self.corpus(tmp_path, tiny_config, part)
+        model = tmp_path / "m.gznn"
+        code = self.run(capsys, "train", "--data-dir", str(data), "--out", str(model), "--config", tiny_config)
+        if part > 0:  # train reads no test window and does not check the validation scores
+            assert code == 0 and capsys.readouterr().err == ""
+            code = self.run(capsys, "compare", "--data-dir", str(data), "--model", str(model),
+                            "--report-dir", str(tmp_path / "r"), "--config", tiny_config)
+        assert code == 3
+        line = one_error_line(capsys)
+        assert line.count(name) == 1 and line.startswith("data error: ")
+        assert not (tmp_path / "r").exists()
+
+
 @pytest.fixture()
 def untrained(tmp_path, tiny_config):
     """A tiny corpus, an untrained model and baseline predictions for seq-0000."""
@@ -939,6 +980,30 @@ def one_error_line(capsys) -> str:
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
     return err[0]
+
+
+def test_out_of_memory_is_one_error_line(untrained, tmp_path, capsys):
+    # 8e18 bytes of thresholds: more than any address space, so numpy refuses before it allocates
+    data, _, preds = untrained
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text("[evaluation]\nconfidence_steps = 1000000000000000000\n")
+    capsys.readouterr()
+    code = main(["eval", "--preds", str(preds), "--truth", str(data / "seq-0000.csv"),
+                 "--report-dir", str(tmp_path / "r"), "--config", str(cfg)])
+    assert code == 2
+    assert one_error_line(capsys).startswith("error: out of memory: Unable to allocate ")
+
+
+def test_output_path_that_is_a_directory_names_it(untrained, tmp_path, capsys):
+    data, _, _ = untrained
+    out = tmp_path / "out" / "p.csv"
+    out.mkdir(parents=True)
+    capsys.readouterr()
+    code = main(["detect", "--baseline", "ivt", "--in", str(data / "seq-0000.csv"), "--out", str(out)])
+    assert code == 3
+    line = one_error_line(capsys)
+    assert line.startswith("i/o error: ") and line.endswith(f": {str(out)!r}") and ".tmp" not in line
+    assert [p.name for p in out.parent.iterdir()] == ["p.csv"] and out.is_dir()
 
 
 class TestUnreadableInputs:
@@ -1102,7 +1167,7 @@ class TestReportsMatchCsvWriter:
             scores = triples[rng.integers(0, 4, idx.size)]
         else:
             scores = rng.dirichlet(np.ones(3), size=idx.size)
-        preds = DetectorOutput(n, idx, scores, scores.argmax(axis=1))
+        preds = DetectorOutput(n, idx, scores)
         thresholds = np.linspace(0.0, 1.0, 21)
         cli._eval_reports(preds, truth, tmp_path / "new", thresholds)
         oracle_eval_reports(preds, truth, tmp_path / "old", thresholds)

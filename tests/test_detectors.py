@@ -522,22 +522,12 @@ class TestCnnDetect:
 
 
 class TestDetectorOutputInvariants:
-    def test_label_must_equal_argmax(self):
-        with pytest.raises(DetectorError):
-            DetectorOutput(
-                n_samples=2,
-                sample_idx=np.array([0, 1]),
-                scores=np.array([[0.2, 0.5, 0.3], [0.6, 0.2, 0.2]]),
-                labels=np.array([0, 0]),
-            )
-
     def test_indices_strictly_increasing(self):
         with pytest.raises(DetectorError):
             DetectorOutput(
                 n_samples=3,
                 sample_idx=np.array([1, 1]),
                 scores=np.full((2, 3), 1 / 3),
-                labels=np.array([0, 0]),
             )
 
     def test_all_detectors_satisfy_argmax_and_coverage(self):
@@ -619,7 +609,7 @@ def _old_assemble(n, covered_idx, v, sac, rho_pur, tau_v):
     rho = np.where(np.isfinite(rho), rho, 0.5)
     p_pur = rem * rho
     scores = np.stack([rem - p_pur, p_sac, p_pur], axis=1)
-    return DetectorOutput(n, covered_idx, scores, scores.argmax(axis=1))
+    return DetectorOutput(n, covered_idx, scores)
 
 
 def old_ivt(seq, config):
@@ -629,7 +619,7 @@ def old_ivt(seq, config):
     vc = v[covered_idx]
     p_sac = vc / (config.velocity_threshold_deg_s + vc)
     scores = np.stack([1.0 - p_sac, p_sac, np.zeros_like(p_sac)], axis=1)
-    return DetectorOutput(len(seq), covered_idx, scores, scores.argmax(axis=1))
+    return DetectorOutput(len(seq), covered_idx, scores)
 
 
 def _old_two_stage(seq, config, kind, rho_fn):
@@ -733,16 +723,18 @@ class TestBaselinesMatchParentOracles:
 
 
 class TestDetectorOutputLabels:
-    @pytest.mark.parametrize("labels", [[256, 257, 258], [-256, 1, 2], [0, 1, 258]])
-    def test_out_of_range_label_not_wrapped(self, labels):
-        with pytest.raises(DetectorError):
-            DetectorOutput(
-                n_samples=3,
-                sample_idx=np.arange(3),
-                scores=np.eye(3),
-                labels=np.array(labels),
-            )
-
     def test_class_codes_kept_as_int8(self):
-        out = DetectorOutput(3, np.arange(3), np.eye(3), np.array([0, 1, 2], dtype=np.int64))
+        out = DetectorOutput(3, np.arange(3), np.eye(3))
         assert out.labels.dtype == np.int8 and out.labels.tolist() == [0, 1, 2]
+
+    def test_labels_are_the_read_only_argmax_with_lowest_code_ties(self):
+        scores = np.array([[0.5, 0.5, 0.0], [1 / 3, 1 / 3, 1 / 3], [0.0, 0.5, 0.5], [0.2, 0.3, 0.5]])
+        out = DetectorOutput(4, np.arange(4), scores)
+        assert out.labels.tolist() == [0, 0, 1, 2]
+        with pytest.raises(ValueError):
+            out.labels[0] = 1
+
+    def test_no_covered_sample(self):
+        out = DetectorOutput(3, np.empty(0, np.int64), np.empty((0, 3)))
+        assert out.labels.dtype == np.int8 and out.labels.shape == (0,)
+        assert out.full_labels().tolist() == [-1, -1, -1]

@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
 from gazeflow import features
@@ -286,6 +288,29 @@ def oracle_repair_sequence(seq, max_gap):
     return x, y, still_bad
 
 
+def loop_repair_sequence(seq, max_gap):
+    """The per-run loop of two np.interp calls that repair_sequence replaced, kept as an oracle."""
+    x = np.array(seq.x_deg, dtype=np.float64)
+    y = np.array(seq.y_deg, dtype=np.float64)
+    bad = ~np.asarray(seq.valid, dtype=bool)
+    n = x.shape[0]
+    if not bad.any():
+        return x, y, bad
+
+    still_bad = bad.copy()
+    edges = np.flatnonzero(np.diff(bad.astype(np.int8)))
+    starts = np.concatenate([[0], edges + 1])
+    ends = np.concatenate([edges, [n - 1]])  # inclusive: runs alternate valid and invalid
+    repair = bad[starts] & (ends - starts + 1 <= max_gap) & (starts > 0) & (ends < n - 1)
+    t = seq.t_ms
+    for s, e in zip(starts[repair], ends[repair]):
+        span = [t[s - 1], t[e + 1]]
+        x[s : e + 1] = np.interp(t[s : e + 1], span, [x[s - 1], x[e + 1]])
+        y[s : e + 1] = np.interp(t[s : e + 1], span, [y[s - 1], y[e + 1]])
+        still_bad[s : e + 1] = False
+    return x, y, still_bad
+
+
 def with_losses(seq, lost):
     return replace(
         seq,
@@ -327,6 +352,25 @@ class TestRepairAgainstRunWalk:
             assert a.dtype == b.dtype and np.array_equal(bits(a), bits(b))
         repaired = got[2] < ~np.asarray(seq.valid)
         assert repaired.any() == (case in ("singles", "mixed", "gappy") and max_gap > 0)
+
+
+class TestRepairAgainstRunLoop:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_bit_identical(self, data):
+        # irregular timestamps over many scales, coordinates of any magnitude
+        # and NaN on every invalid sample
+        n = data.draw(st.integers(1, 60))
+        scale = 10.0 ** data.draw(st.integers(-3, 6))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        t = np.cumsum(rng.uniform(0.01, 2.0, n)) * scale
+        x, y = rng.normal(size=(2, n)) * 10.0 ** rng.integers(-3, 300, size=(2, 1))
+        valid = rng.uniform(size=n) < data.draw(st.floats(0.0, 1.0))
+        seq = GazeSequence(t, np.where(valid, x, np.nan), np.where(valid, y, np.nan), valid)
+        max_gap = data.draw(st.integers(0, 5))
+        got, want = repair_sequence(seq, max_gap), loop_repair_sequence(seq, max_gap)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(bits(a), bits(b))
 
 
 # ---------------------------------------------------------------------------

@@ -89,7 +89,7 @@ class TestPredictionsCsv:
         covered = rng.uniform(size=n) > 0.3
         idx = np.flatnonzero(covered)
         scores = rng.dirichlet(np.ones(3), size=idx.size)
-        return DetectorOutput(n, idx, scores, scores.argmax(axis=1))
+        return DetectorOutput(n, idx, scores)
 
     def test_round_trip(self, tmp_path):
         out = self.make_output()
@@ -116,6 +116,22 @@ class TestPredictionsCsv:
         with pytest.raises(DataFormatError):
             read_predictions_csv(path)
 
+    def test_label_must_equal_argmax(self, tmp_path):
+        path = tmp_path / "preds.csv"
+        path.write_text(PRED_HEAD + "0,0.2,0.5,0.3,0,1\r\n1,0.6,0.2,0.2,0,1\r\n", newline="")
+        with pytest.raises(DataFormatError, match=r"preds\.csv: labels must equal argmax\(scores\) with lowest-code ties$"):
+            read_predictions_csv(path)
+
+    @pytest.mark.parametrize("label", [256, 7, -5, -256, 10**29])
+    def test_out_of_range_label_not_wrapped(self, tmp_path, label):
+        # each label's argmax is class 0, which int8 takes 256 and -256 to
+        path = tmp_path / "preds.csv"
+        path.write_text(PRED_HEAD + f"0,0.6,0.2,0.2,0,1\r\n1,0.7,0.2,0.1,{label},1\r\n", newline="")
+        with pytest.raises(DataFormatError, match=r"labels must equal argmax\(scores\) with lowest-code ties$"):
+            read_predictions_csv(path)
+        path.write_text(PRED_HEAD + "0,0.6,0.2,0.2,0,1\r\n1,0.7,0.2,0.1,0,1\r\n", newline="")
+        assert read_predictions_csv(path).labels.tolist() == [0, 0]
+
     def test_non_consecutive_indices_rejected(self, tmp_path):
         path = tmp_path / "preds.csv"
         path.write_text(
@@ -131,7 +147,7 @@ class TestTraceCsv:
         rng = np.random.default_rng(3)
         idx = np.arange(5, 30)
         scores = rng.dirichlet(np.ones(3), size=idx.size)
-        preds = DetectorOutput(35, idx, scores, scores.argmax(axis=1))
+        preds = DetectorOutput(35, idx, scores)
         path = tmp_path / "trace.csv"
         write_trace_csv(seq, preds, path)
         lines = path.read_text().strip().splitlines()
@@ -227,7 +243,7 @@ def outputs(n, covered, seed=0):
     idx = {"none": np.empty(0, np.int64), "some": np.flatnonzero(rng.uniform(size=n) > 0.4),
            "all": np.arange(n)}[covered]
     scores = rng.dirichlet(np.ones(3), size=idx.size)
-    return DetectorOutput(n, idx, scores, scores.argmax(axis=1))
+    return DetectorOutput(n, idx, scores)
 
 
 def assert_same_bytes(tmp_path, write, oracle, *args):
@@ -358,12 +374,14 @@ def oracle_read_predictions_csv(path):
             else:
                 raise DataFormatError(f"{path}:{row_no}: covered flag must be 0 or 1")
     try:
-        return DetectorOutput(
+        preds = DetectorOutput(
             n_samples=n,
             sample_idx=np.array(idx, dtype=np.int64),
             scores=np.array(scores, dtype=np.float64).reshape(len(idx), 3),
-            labels=np.array(labels, dtype=np.int8),
         )
+        if not np.array_equal(np.array(labels, dtype=np.int8), preds.labels):
+            raise ValueError("labels must equal argmax(scores) with lowest-code ties")
+        return preds
     except ValueError as exc:
         raise DataFormatError(f"{path}: {exc}") from None
 

@@ -32,9 +32,7 @@ def output_from_labels(labels, scores=None, covered=None):
     if scores is None:
         scores = np.full((idx.size, 3), 0.1)
         scores[np.arange(idx.size), labels[idx]] = 0.8
-    return DetectorOutput(
-        n_samples=n, sample_idx=idx, scores=np.asarray(scores), labels=labels[idx]
-    )
+    return DetectorOutput(n_samples=n, sample_idx=idx, scores=np.asarray(scores))
 
 
 def pairwise_auc_oracle(scores, truth):
@@ -88,7 +86,7 @@ class TestConfusion:
     def test_empty_coverage_error(self):
         out = DetectorOutput(
             n_samples=3, sample_idx=np.array([], dtype=int),
-            scores=np.empty((0, 3)), labels=np.array([], dtype=int),
+            scores=np.empty((0, 3)),
         )
         with pytest.raises(EvalError):
             confusion(out, np.array([0, 1, 2]))
@@ -233,14 +231,14 @@ class TestOneVsAll:
         truth = np.array([0, 1, 2, 0, 1, 2])
         scores = np.full((6, 3), 0.05)
         scores[np.arange(6), truth] = 0.9
-        out = DetectorOutput(6, np.arange(6), scores, truth)
+        out = DetectorOutput(6, np.arange(6), scores)
         res = one_vs_all_auc(out, truth)
         assert np.allclose(res.aucs, 1.0)
         assert res.mean_auc == 1.0
 
     def test_uniform_predictor_half(self):
         truth = np.array([0, 1, 2, 0, 1, 2])
-        out = DetectorOutput(6, np.arange(6), np.full((6, 3), 1 / 3), np.zeros(6, dtype=int))
+        out = DetectorOutput(6, np.arange(6), np.full((6, 3), 1 / 3))
         res = one_vs_all_auc(out, truth)
         assert np.allclose(res.aucs, 0.5)
 
@@ -337,7 +335,7 @@ class TestConfidenceAccuracy:
         scores = np.array(
             [[0.7, 0.2, 0.1], [0.2, 0.6, 0.2], [0.1, 0.2, 0.7], [0.5, 0.3, 0.2]]
         )
-        preds = DetectorOutput(4, np.arange(4), scores, scores.argmax(axis=1))
+        preds = DetectorOutput(4, np.arange(4), scores)
         bins = confidence_accuracy(preds, truth, np.array([1.0]))
         for cls in LabelClass:
             assert bins[cls][0].support == 0
@@ -348,7 +346,7 @@ class TestConfidenceAccuracy:
         truth = rng.integers(0, 3, 400)
         scores = rng.dirichlet(np.ones(3), size=400)
         labels = scores.argmax(axis=1)
-        preds = DetectorOutput(400, np.arange(400), scores, labels)
+        preds = DetectorOutput(400, np.arange(400), scores)
         thresholds = np.array([0.0, 0.4, 0.6, 0.9])
         bins = confidence_accuracy(preds, truth, thresholds)
         for cls in LabelClass:

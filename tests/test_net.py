@@ -19,7 +19,6 @@ from gazeflow.net import (
     SCORE_CHUNK,
     AdamConfig,
     AdamState,
-    Gradients,
     NetError,
     NetworkParams,
     PhaseConfig,
@@ -82,9 +81,14 @@ def forward_one(params, feat):
     return forward_batch(params, feat[None])
 
 
+def by_layer(params, vector):
+    """The four arrays of a gradient or moment vector by name, as views into it."""
+    return {name: view for (name, _), view in zip(params.arrays(), net._views(vector, params.shapes))}
+
+
 def grads_one(params, feat, truth):
-    """The gradient of one window's loss, through the batch path."""
-    return backward_batch(params, forward_one(params, feat), np.array([truth]))
+    """The gradient of one window's loss by layer, through the batch path."""
+    return by_layer(params, backward_batch(params, forward_one(params, feat), np.array([truth])))
 
 
 def loss_one(params, feat, truth):
@@ -181,8 +185,8 @@ class TestBackward:
     def test_zero_feature_conv_grads(self):
         params = init_params(1)
         g = grads_one(params, np.zeros((30, 2)), 0)
-        assert np.all(g.conv_w == 0)
-        assert np.any(g.conv_b != 0)
+        assert np.all(g["conv_w"] == 0)
+        assert np.any(g["conv_b"] != 0)
 
     def test_gradcheck_small(self):
         rng = np.random.default_rng(8)
@@ -193,7 +197,7 @@ class TestBackward:
             truth = int(rng.integers(3))
             grads = grads_one(params, feat, truth)
             for name, arr in params.arrays():
-                g = getattr(grads, name)
+                g = grads[name]
                 flat_idx = rng.choice(arr.size, size=min(8, arr.size), replace=False)
                 for k in flat_idx:
                     for sign, store in ((+1, "lp"), (-1, "lm")):
@@ -218,7 +222,7 @@ class TestBackward:
             params = init_params(trial + 30)
             feats = rng.normal(scale=2.0, size=(8, 30, 2))
             truths = rng.integers(0, 3, 8)
-            grads = backward_batch(params, forward_batch(params, feats), truths)
+            grads = by_layer(params, backward_batch(params, forward_batch(params, feats), truths))
             for name, arr in params.arrays():
                 for k in range(arr.size):
                     loss = []
@@ -228,7 +232,7 @@ class TestBackward:
                         pp = replace(params, **{name: pert.reshape(arr.shape)})
                         loss.append(loss_cross_entropy(forward_batch(pp, feats).probs, truths))
                     fd = (loss[0] - loss[1]) / (2 * h)
-                    an = getattr(grads, name).ravel()[k]
+                    an = grads[name].ravel()[k]
                     assert abs(an - fd) < 1e-4 * max(abs(an), abs(fd), 1e-6), (name, k)
 
     def test_logit_shift_invariance(self):
@@ -241,21 +245,21 @@ class TestBackward:
         g1 = grads_one(params, feat, 2)
         g2 = grads_one(shifted, feat, 2)
         for name, _ in params.arrays():
-            assert np.max(np.abs(getattr(g1, name) - getattr(g2, name))) < 1e-12
+            assert np.max(np.abs(g1[name] - g2[name])) < 1e-12
 
     def test_batch_mean_equals_mean_of_singles(self):
         rng = np.random.default_rng(10)
         params = init_params(2)
         feats = rng.normal(size=(6, 30, 2))
         truths = rng.integers(0, 3, 6)
-        gb = backward_batch(params, forward_batch(params, feats), truths)
+        gb = by_layer(params, backward_batch(params, forward_batch(params, feats), truths))
         acc = {name: np.zeros_like(a) for name, a in params.arrays()}
         for i in range(6):
             gi = backward_batch(params, forward_batch(params, feats[i : i + 1]), truths[i : i + 1])
-            for name, a in gi.arrays():
+            for name, a in by_layer(params, gi).items():
                 acc[name] += a / 6
         for name in acc:
-            assert np.max(np.abs(getattr(gb, name) - acc[name])) < 1e-12
+            assert np.max(np.abs(gb[name] - acc[name])) < 1e-12
 
     def test_pool_gradient_mass_conserved(self):
         # gradient mass entering the pool layer equals what leaves it
@@ -268,7 +272,7 @@ class TestBackward:
         g = grads_one(params, feat, 1)
         # conv bias gradient sums the per-position gradient, which is the
         # scattered pool gradient; totals must match
-        assert g.conv_b.sum() == pytest.approx(dflat.sum(), abs=1e-12)
+        assert g["conv_b"].sum() == pytest.approx(dflat.sum(), abs=1e-12)
 
 
 class TestAdam:
@@ -281,18 +285,13 @@ class TestAdam:
         )
 
     def scalar_grads(self, g):
-        return Gradients(
-            conv_w=np.full((10, 10, 2), g),
-            conv_b=np.zeros(10),
-            dense_w=np.zeros((3, 40)),
-            dense_b=np.zeros(3),
-        )
+        """A gradient vector in payload order: g on every conv weight, zero elsewhere."""
+        return np.concatenate([np.full(10 * 10 * 2, g), np.zeros(10 + 3 * 40 + 3)])
 
     def test_zero_gradient_noop(self):
         params = init_params(0)
         state = AdamState.zeros(params)
-        zero = Gradients(**{n: np.zeros_like(a) for n, a in params.arrays()})
-        new_params, new_state = adam_step(params, zero, state, PHASE1_ADAM)
+        new_params, new_state = adam_step(params, np.zeros(params.vector.size), state, PHASE1_ADAM)
         for name, a in params.arrays():
             assert np.array_equal(getattr(new_params, name), a)
         assert new_state.t == 1
@@ -590,9 +589,9 @@ class TestAgainstArrayOracle:
         for got, want in ((cache.flat, flat), (cache.logits, logits), (cache.probs, probs)):
             assert np.array_equal(bits(got), bits(want))
 
-        grads = backward_batch(params, cache, truths)
+        grads = by_layer(params, backward_batch(params, cache, truths))
         want = oracle_backward(params, cols, pool_arg, flat, probs, truths)
-        for name, arr in grads.arrays():
+        for name, arr in grads.items():
             assert np.array_equal(bits(arr), bits(want[name])), name
 
         if pool_factor > 1:
@@ -613,28 +612,37 @@ class TestAgainstArrayOracle:
         v = {name: np.zeros_like(arr) for name, arr in params.arrays()}
         for t in range(1, 21):
             g = {name: rng.normal(scale=10.0 ** rng.integers(-6, 2), size=arr.shape) for name, arr in theta.items()}
-            params, state = adam_step(params, Gradients(**g), state, config)
+            params, state = adam_step(params, np.concatenate([a.ravel() for a in g.values()]), state, config)
             theta, m, v = oracle_adam(theta, m, v, g, t, config)
             assert state.t == t
             for name in theta:
                 assert np.array_equal(bits(getattr(params, name)), bits(theta[name]))
-                assert np.array_equal(bits(getattr(state.m, name)), bits(m[name]))
-                assert np.array_equal(bits(getattr(state.v, name)), bits(v[name]))
+            assert np.array_equal(bits(state.m), bits(np.concatenate([a.ravel() for a in m.values()])))
+            assert np.array_equal(bits(state.v), bits(np.concatenate([a.ravel() for a in v.values()])))
 
     def test_weight_views_are_read_only(self):
         params = init_params(3)
-        grads = backward_batch(params, forward_batch(params, np.ones((2, 30, 2))), np.array([0, 1]))
-        for holder in (params, grads, AdamState.zeros(params).m):
-            assert not holder.vector.flags.writeable
-            for name, arr in holder.arrays():
-                assert np.shares_memory(arr, holder.vector), name
-                assert not arr.flags.writeable, name
-                with pytest.raises(ValueError):
-                    arr[(0,) * arr.ndim] = 1.0
-                with pytest.raises(ValueError):
-                    arr.setflags(write=True)
+        assert not params.vector.flags.writeable
+        for name, arr in params.arrays():
+            assert np.shares_memory(arr, params.vector), name
+            assert not arr.flags.writeable, name
+            with pytest.raises(ValueError):
+                arr[(0,) * arr.ndim] = 1.0
+            with pytest.raises(ValueError):
+                arr.setflags(write=True)
         assert params.vector.shape == (333,)
         assert np.array_equal(params.vector[-3:], params.dense_b)
+
+    def test_gradient_and_moments_are_read_only_vectors(self):
+        params = init_params(3)
+        grad = backward_batch(params, forward_batch(params, np.ones((2, 30, 2))), np.array([0, 1]))
+        zeros = AdamState.zeros(params)
+        _, state = adam_step(params, grad, zeros, PHASE1_ADAM)
+        assert zeros.m is zeros.v
+        for vector in (grad, zeros.m, state.m, state.v):
+            assert vector.shape == params.vector.shape and not vector.flags.writeable
+            with pytest.raises(ValueError):
+                vector[0] = 1.0
 
     def test_constructor_copies_its_inputs(self):
         conv_w = np.zeros((10, 10, 2))
@@ -652,20 +660,17 @@ class TestAgainstArrayOracle:
 
     def test_like_takes_the_vector_over(self):
         params = init_params(4, kernel_len=5, pool_factor=7)
-        grads = Gradients(**dict(params.arrays()))
-        for holder in (params, grads):
-            vector = np.arange(holder.vector.size, dtype=np.float64)
-            new = holder._like(vector)
-            assert type(new) is type(holder)
-            assert new.vector is vector and not vector.flags.writeable
-            assert new.shapes == holder.shapes
-            assert np.array_equal(new.dense_b, vector[-3:])
-        new = params._like(np.zeros(params.vector.size))
+        vector = np.arange(params.vector.size, dtype=np.float64)
+        new = params._like(vector)
+        assert type(new) is NetworkParams
+        assert new.vector is vector and not vector.flags.writeable
+        assert new.shapes == params.shapes
+        assert np.array_equal(new.dense_b, vector[-3:])
         assert (new.pool_factor, new.input_len, new.kernel_len) == (7, 30, 5)
 
     def test_adam_step_rejects_a_non_finite_update(self):
         params = init_params(1)
-        nan = Gradients(*(np.full(shape, np.nan) for shape in params.shapes))
+        nan = np.full(params.vector.size, np.nan)
         with pytest.raises(NetError, match="finite"):
             adam_step(params, nan, AdamState.zeros(params), PHASE1_ADAM)
 
@@ -911,7 +916,7 @@ class TestTrainResources:
         def poisoned(params, grads, state, config):
             calls.append(1)
             if len(calls) == 7:
-                grads = Gradients(*(np.full(shape, np.nan) for shape in params.shapes))
+                grads = np.full(params.vector.size, np.nan)
             return real_adam_step(params, grads, state, config)
 
         monkeypatch.setattr(net, "adam_step", poisoned)
