@@ -19,7 +19,7 @@ import numpy as np
 
 from .detectors import (
     BASELINE_DETECTORS,
-    BASELINE_EVAL_CLASSES,
+    BaselineConfig,
     DetectorError,
     DetectorOutput,
     cnn_detect,
@@ -220,8 +220,7 @@ def _eval_reports(
     cm = confusion(preds, truth)
     report = prf_from_confusion(cm)
     ova = one_vs_all_auc(preds, truth)
-    events = events_from_labels(truth)
-    ev_table = event_majority(preds, events)
+    ev_table = event_majority(preds, events_from_labels(truth))
     conf_bins = confidence_accuracy(preds, truth, thresholds)
     acc = frame_accuracy(preds, truth)
 
@@ -240,9 +239,8 @@ def _eval_reports(
         [names + ["average"]]
         + [float_fields([*getattr(report, m), getattr(report, f"macro_{m}")]) for m in measures],
     )
-    for cls, curve in zip(LabelClass, ova.curves):
-        roc = [float_fields(curve.fpr), float_fields(curve.tpr)]
-        write_csv(report_dir / f"roc_{CLASS_NAMES[cls]}.csv", ["fpr", "tpr"], roc)
+    for name, curve in zip(CLASS_NAMES, ova.curves):
+        write_csv(report_dir / f"roc_{name}.csv", ["fpr", "tpr"], [float_fields(curve.fpr), float_fields(curve.tpr)])
     write_csv(
         report_dir / "event_majority.csv",
         ["truth"] + names + ["no_majority", "n_events"],
@@ -296,6 +294,37 @@ def cmd_eval(args: argparse.Namespace, cfg: RunConfig, seed: int) -> int:
     return EXIT_OK
 
 
+def compare_detectors(
+    model: NetworkParams, val_seqs: list[GazeSequence], test_seqs: list[GazeSequence],
+    frontend: FrontendConfig = FrontendConfig(), window_len: int = BaselineConfig.window_len,
+) -> tuple[dict[str, BaselineConfig], list[dict]]:
+    """Tune the baselines on val_seqs, then score each detector's outputs pooled over test_seqs.
+
+    Returns the tuned thresholds and the comparison.csv rows, best mean AUC
+    first; the area of a class an output does not rank is NaN. The calls go
+    through this module's globals, which the benchmark's tracer wraps.
+    """
+    max_gap = frontend.interp_max_gap
+    tuned = tune_baselines(val_seqs, window_len=window_len, max_gap=max_gap)
+    truth = np.concatenate([s.labels for s in test_seqs])
+    rows = []
+    for name in ("cnn", *BASELINE_DETECTORS):
+        outs = []
+        for seq in test_seqs:
+            with naming_errors(seq):
+                outs.append(cnn_detect(model, seq, frontend) if name == "cnn"
+                            else BASELINE_DETECTORS[name](seq, tuned[name], max_gap))
+        pooled = concat_outputs(outs)
+        ova = one_vs_all_auc(pooled, truth)
+        aucs = {f"auc_{c}": curve.auc if ranked else float("nan")
+                for c, curve, ranked in zip(CLASS_NAMES, ova.curves, ova.ranked)}
+        rows.append({"detector": name, **aucs, "mean_auc": ova.mean_auc,
+                     "macro_f1": prf_from_confusion(confusion(pooled, truth)).macro_f1,
+                     "frame_accuracy": frame_accuracy(pooled, truth)})
+    rows.sort(key=lambda r: -r["mean_auc"])
+    return tuned, rows
+
+
 def cmd_compare(args: argparse.Namespace, cfg: RunConfig, seed: int) -> int:
     model = _load_model(args.model, cfg.frontend)
     stored = load_split(args.model)
@@ -304,46 +333,17 @@ def cmd_compare(args: argparse.Namespace, cfg: RunConfig, seed: int) -> int:
     if stored is None:  # a model saved without its split: derive the split from the seed
         seqs = _read_labeled(files)
         part, _ = split_recordings(seqs, cfg.frontend, seed)
-        val_seqs = [s for s, k in zip(seqs, part) if k == 1]
-        test_seqs = [s for s, k in zip(seqs, part) if k == 2]
+        val_seqs, test_seqs = ([s for s, k in zip(seqs, part) if k == p] for p in (1, 2))
     else:  # read only the recordings the stored split names
         _check_stored_split(stored, files, args, seed)
         by_name = {p.name: p for p in files}
         val_seqs = _read_labeled([by_name[name] for name in stored.validation])
         test_seqs = _read_labeled([by_name[name] for name in stored.test])
 
-    max_gap = cfg.frontend.interp_max_gap
-    tuned = tune_baselines(val_seqs, window_len=cfg.baselines.window_len, max_gap=max_gap)
-
-    rows = []
-    truth_all = np.concatenate([s.labels for s in test_seqs])
-    for name in ("cnn", *BASELINE_DETECTORS):
-        outs = []
-        for seq in test_seqs:
-            with naming_errors(seq):
-                outs.append(cnn_detect(model, seq, cfg.frontend) if name == "cnn"
-                            else BASELINE_DETECTORS[name](seq, tuned[name], max_gap))
-        classes = BASELINE_EVAL_CLASSES.get(name, tuple(LabelClass))
-        pooled = concat_outputs(outs)
-        ova = one_vs_all_auc(pooled, truth_all)
-        mean_auc = float(np.mean([ova.curves[int(c)].auc for c in classes]))
-        report = prf_from_confusion(confusion(pooled, truth_all))
-        rows.append(
-            {
-                "detector": name,
-                "auc_fixation": ova.curves[0].auc,
-                "auc_saccade": ova.curves[1].auc,
-                "auc_pursuit": ova.curves[2].auc if LabelClass.PURSUIT in classes else float("nan"),
-                "mean_auc": mean_auc,
-                "macro_f1": report.macro_f1,
-                "frame_accuracy": frame_accuracy(pooled, truth_all),
-            }
-        )
-
-    rows.sort(key=lambda r: -r["mean_auc"])
+    tuned, rows = compare_detectors(model, val_seqs, test_seqs, cfg.frontend, cfg.baselines.window_len)
     report_dir = Path(args.report_dir)
     report_dir.mkdir(parents=True, exist_ok=True)
-    cols = ["detector", "auc_fixation", "auc_saccade", "auc_pursuit", "mean_auc", "macro_f1", "frame_accuracy"]
+    cols = list(rows[0])
     write_csv(
         report_dir / "comparison.csv",
         cols,
@@ -352,10 +352,8 @@ def cmd_compare(args: argparse.Namespace, cfg: RunConfig, seed: int) -> int:
     write_json(report_dir / "tuned_thresholds.json", {name: asdict(c) for name, c in tuned.items()})
 
     for r in rows:
-        print(
-            f"{r['detector']:8s} mean_auc={r['mean_auc']:.4f} "
-            f"macro_f1={r['macro_f1']:.4f} accuracy={r['frame_accuracy']:.4f}"
-        )
+        print(f"{r['detector']:8s} mean_auc={r['mean_auc']:.4f} "
+              f"macro_f1={r['macro_f1']:.4f} accuracy={r['frame_accuracy']:.4f}")
     print(f"ranking={','.join(r['detector'] for r in rows)}")
     return EXIT_OK
 

@@ -28,7 +28,7 @@ from typing import Callable
 import numpy as np
 
 from .features import FrontendConfig, featurize_sequence, repair_sequence, window_starts
-from .gaze import GazeSequence, N_CLASSES, LabelClass
+from .gaze import GazeSequence, N_CLASSES
 from .net import NetworkParams, score_windows
 from .net import forward_batch  # noqa: F401  perfbench/tracing.py wraps detectors.forward_batch
 
@@ -360,7 +360,8 @@ def ivt_detect(
 
     The saccade score is v / (tau_v + v) over the samples whose 3-sample
     window is usable; non-saccades are fixations, and the pursuit channel is
-    zero because this detector cannot see pursuits.
+    zero because this detector cannot see pursuits. That zero channel is what
+    keeps pursuit out of its mean ROC area (metrics.one_vs_all_auc).
     """
     _, _, _, v, covered = _prepare(seq, 3, max_gap)
     vc = v[covered]
@@ -453,13 +454,4 @@ BASELINE_DETECTORS: dict[str, Callable[..., DetectorOutput]] = {
     "ivt-idt": ivt_idt_detect,
     "ivmp": ivmp_detect,
     "pca": pca_ratio_detect,
-}
-
-# Classes each baseline can meaningfully rank. The binary velocity detector
-# has no pursuit signal, so its mean ROC area is taken over the other two.
-BASELINE_EVAL_CLASSES: dict[str, tuple[LabelClass, ...]] = {
-    "ivt": (LabelClass.FIXATION, LabelClass.SACCADE),
-    "ivt-idt": tuple(LabelClass),
-    "ivmp": tuple(LabelClass),
-    "pca": tuple(LabelClass),
 }

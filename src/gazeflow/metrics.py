@@ -78,6 +78,7 @@ class RocCurve:
 @dataclass(frozen=True)
 class OneVsAllResult:
     curves: tuple[RocCurve, RocCurve, RocCurve]
+    ranked: tuple[bool, bool, bool]  # the classes whose score column is not all zero
 
     @property
     def aucs(self) -> np.ndarray:
@@ -85,7 +86,7 @@ class OneVsAllResult:
 
     @property
     def mean_auc(self) -> float:
-        return float(self.aucs.mean())
+        return float(self.aucs[list(self.ranked)].mean())
 
 
 @dataclass(frozen=True)
@@ -206,7 +207,12 @@ def roc_auc(scores: np.ndarray, truth_binary: np.ndarray) -> RocCurve:
 
 
 def one_vs_all_auc(preds: DetectorOutput, truth: np.ndarray) -> OneVsAllResult:
-    """Per-class ROC treating each class in turn as the positive one."""
+    """Per-class ROC treating each class in turn as the positive one.
+
+    The mean AUC covers the ranked classes: those whose score column is not
+    zero on every covered sample. ivt_detect's zero pursuit channel is what
+    keeps pursuit out of its mean. Ranking no class is an EvalError.
+    """
     truth = np.asarray(truth)
     if truth.shape != (preds.n_samples,):
         raise EvalError("truth length does not match sequence length")
@@ -217,7 +223,10 @@ def one_vs_all_auc(preds: DetectorOutput, truth: np.ndarray) -> OneVsAllResult:
         if not positives.any() or positives.all():
             raise EvalError(f"class {CLASS_NAMES[cls]} missing from covered truth")
         curves.append(roc_auc(preds.scores[:, int(cls)], positives))
-    return OneVsAllResult(curves=tuple(curves))
+    ranked = tuple(bool(col.any()) for col in preds.scores.T)
+    if not any(ranked):
+        raise EvalError("every score column is zero: the output ranks no class")
+    return OneVsAllResult(curves=tuple(curves), ranked=ranked)
 
 
 def event_majority(preds: DetectorOutput, truth_events: list[Event]) -> EventMajorityTable:

@@ -70,7 +70,8 @@ class NetError(ValueError):
 
 
 class TrainingError(ValueError):
-    """Bad training inputs or a diverged run; recording is the group of a window that overflows the initial weights."""
+    """Bad training inputs or a diverged run; recording is the group of a window that overflows
+    the initial weights, or the validation pass."""
 
     def __init__(self, message: str, recording: int | None = None):
         super().__init__(message)
@@ -508,10 +509,18 @@ def init_params(
 
 
 def frame_accuracy(params: NetworkParams, windows: WindowSet) -> float:
-    """Mean fraction of windows whose argmax prediction matches the label."""
+    """Mean fraction of windows whose argmax prediction matches the label.
+
+    A window whose scores are not finite raises TrainingError naming the
+    group of the first such window.
+    """
     if len(windows) == 0:
         raise TrainingError("cannot score an empty window set")
-    correct = int((score_windows(params, windows.features).argmax(axis=1) == windows.labels).sum())
+    probs = score_windows(params, windows.features)
+    bad = np.flatnonzero(~np.isfinite(probs).all(axis=1))
+    if bad.size:
+        raise TrainingError("non-finite window scores", int(windows.groups[bad[0]]))
+    correct = int((probs.argmax(axis=1) == windows.labels).sum())
     return correct / len(windows)
 
 

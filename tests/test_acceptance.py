@@ -4,6 +4,11 @@ Each test prints a `[criterion N] PASS ...` line with the measured values;
 run with `pytest -v -s tests/test_acceptance.py` to see them. The two
 training-based criteria share a module-scoped pipeline fixture, together
 take a few minutes and carry the `slow` marker; everything else is fast.
+The detector comparisons (the noiseless gate, criteria 7 and 8) run
+`gazeflow.cli.compare_detectors`, the code `gazeflow compare` runs: it tunes
+the baselines on the validation recordings, pools each detector's outputs
+over the test recordings and takes each mean ROC area over the classes
+that detector's output ranks (metrics.one_vs_all_auc).
 """
 import time
 from dataclasses import replace
@@ -11,21 +16,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gazeflow.detectors import (
-    BASELINE_DETECTORS,
-    BASELINE_EVAL_CLASSES,
-    cnn_detect,
-    concat_outputs,
-    ivt_idt_detect,
-)
+from gazeflow.cli import compare_detectors
+from gazeflow.detectors import BASELINE_DETECTORS, concat_outputs, ivt_idt_detect
 from gazeflow.features import FrontendConfig, featurize_sequence, split_dataset
-from gazeflow.gaze import GazeSequence, LabelClass, events_from_labels
+from gazeflow.gaze import CLASS_NAMES, GazeSequence, LabelClass, events_from_labels
 from gazeflow.metrics import (
     confidence_accuracy,
     confusion,
     event_majority,
     frame_accuracy,
-    one_vs_all_auc,
     prf_from_confusion,
     roc_auc,
 )
@@ -285,6 +284,11 @@ def test_criterion_05_metric_oracles():
 # criterion 6: generator separability gate
 
 
+def parts(seqs, part):
+    """The validation and test recordings of a split."""
+    return [s for s, k in zip(seqs, part) if k == 1], [s for s, k in zip(seqs, part) if k == 2]
+
+
 @pytest.fixture(scope="module")
 def noiseless_corpus():
     cfg = StimulusConfig(
@@ -325,20 +329,10 @@ def test_noiseless_compare_gate(noiseless_corpus):
         split,
         TrainConfig(phase1=PhaseConfig(20, hot), phase2=PhaseConfig(0, PHASE2_ADAM), seed=ACCEPT_SEED),
     )
-    val_seqs = [s for s, k in zip(seqs, split.part) if k == 1]
-    test_seqs = [s for s, k in zip(seqs, split.part) if k == 2]
-    truth = np.concatenate([s.labels for s in test_seqs])
-    tuned = tune_baselines(val_seqs)
-    means = {}
-    pooled = concat_outputs([cnn_detect(params, s) for s in test_seqs])
-    means["cnn"] = one_vs_all_auc(pooled, truth).mean_auc
-    for name, fn in BASELINE_DETECTORS.items():
-        p = concat_outputs([fn(s, tuned[name]) for s in test_seqs])
-        res = one_vs_all_auc(p, truth)
-        means[name] = float(np.mean([res.curves[int(c)].auc for c in BASELINE_EVAL_CLASSES[name]]))
-    for name, val in means.items():
-        assert val >= 0.99, f"{name} mean AUC {val:.4f} below the separability gate"
-    print("\n[separability compare gate] PASS " + " ".join(f"{k}={v:.4f}" for k, v in means.items()))
+    _, rows = compare_detectors(params, *parts(seqs, split.part))
+    for r in rows:
+        assert r["mean_auc"] >= 0.99, f"{r['detector']} mean AUC {r['mean_auc']:.4f} below the separability gate"
+    print("\n[separability compare gate] PASS " + " ".join(f"{r['detector']}={r['mean_auc']:.4f}" for r in rows))
 
 
 # ---------------------------------------------------------------------------
@@ -355,23 +349,9 @@ def learning_pipeline(tmp_path_factory):
     seqs = [t.sequence for t in traces]
     split = split_dataset(seqs, FrontendConfig(), ACCEPT_SEED)
 
-    params, history = train(split, TrainConfig(seed=ACCEPT_SEED))
-
-    val_seqs = [s for s, k in zip(seqs, split.part) if k == 1]
-    test_seqs = [s for s, k in zip(seqs, split.part) if k == 2]
-    truth = np.concatenate([s.labels for s in test_seqs])
-
-    pooled = concat_outputs([cnn_detect(params, s) for s in test_seqs])
-    cnn_res = one_vs_all_auc(pooled, truth)
-
-    tuned = tune_baselines(val_seqs)
-    baseline_means = {}
-    for name, fn in BASELINE_DETECTORS.items():
-        p = concat_outputs([fn(s, tuned[name]) for s in test_seqs])
-        res = one_vs_all_auc(p, truth)
-        baseline_means[name] = float(
-            np.mean([res.curves[int(c)].auc for c in BASELINE_EVAL_CLASSES[name]])
-        )
+    params, _ = train(split, TrainConfig(seed=ACCEPT_SEED))
+    val_seqs, test_seqs = parts(seqs, split.part)
+    _, rows = compare_detectors(params, val_seqs, test_seqs)
 
     out_dir = tmp_path_factory.mktemp("acceptance")
     model_a = out_dir / "model-a.gznn"
@@ -380,9 +360,9 @@ def learning_pipeline(tmp_path_factory):
     return {
         "n_frames": sum(len(s) for s in seqs),
         "split": split,
-        "params": params,
-        "cnn_res": cnn_res,
-        "baseline_means": baseline_means,
+        "val_seqs": val_seqs,
+        "test_seqs": test_seqs,
+        "rows": rows,
         "model_a": model_a,
         "elapsed": time.perf_counter() - t0,
         "out_dir": out_dir,
@@ -393,17 +373,19 @@ def learning_pipeline(tmp_path_factory):
 def test_criterion_07_end_to_end_learning_gate(learning_pipeline):
     lp = learning_pipeline
     assert 80_000 <= lp["n_frames"] <= 120_000
-    mean_auc = lp["cnn_res"].mean_auc
-    aucs = lp["cnn_res"].aucs
+    rows = {r["detector"]: r for r in lp["rows"]}
+    mean_auc = rows["cnn"]["mean_auc"]
+    aucs = [rows["cnn"][f"auc_{c}"] for c in CLASS_NAMES]
+    baseline_means = {name: rows[name]["mean_auc"] for name in BASELINE_DETECTORS}
     assert mean_auc >= 0.85
-    for name, val in lp["baseline_means"].items():
+    for name, val in baseline_means.items():
         assert mean_auc > val, f"network {mean_auc:.4f} not above {name} {val:.4f}"
     assert lp["elapsed"] < 900.0
     report(
         7,
         f"frames={lp['n_frames']} cnn per-class={np.round(aucs, 4).tolist()} "
         f"mean={mean_auc:.4f} vs baselines "
-        + " ".join(f"{k}={v:.4f}" for k, v in lp["baseline_means"].items())
+        + " ".join(f"{k}={v:.4f}" for k, v in baseline_means.items())
         + f" time={lp['elapsed']:.0f}s",
     )
 
@@ -417,14 +399,9 @@ def test_criterion_08_training_determinism(learning_pipeline):
     assert model_crc(lp["model_a"]) == model_crc(model_b)
     assert lp["model_a"].read_bytes() == model_b.read_bytes()
 
-    # identical metric reports from the re-trained model
-    cfg = StimulusConfig(seed=ACCEPT_SEED, sequence_duration_s=7.0)
-    seqs = [t.sequence for t in generate_corpus(cfg, 48)]
-    test_seqs = [s for s, k in zip(seqs, lp["split"].part) if k == 2]
-    truth = np.concatenate([s.labels for s in test_seqs])
-    pooled = concat_outputs([cnn_detect(params_b, s) for s in test_seqs])
-    res = one_vs_all_auc(pooled, truth)
-    assert res.aucs.tolist() == lp["cnn_res"].aucs.tolist()
+    # identical metric reports from the re-trained model (repr: NaN areas compare equal)
+    _, rows_b = compare_detectors(params_b, lp["val_seqs"], lp["test_seqs"])
+    assert repr(rows_b) == repr(lp["rows"])
     report(8, f"model CRC match ({model_crc(model_b):#010x}); metric reports identical")
 
 

@@ -92,7 +92,9 @@ def test_train_reaches_the_traced_split_and_featurize_through_module_globals(tmp
 
 def test_compare_tunes_through_the_traced_stage2_name(tmp_path):
     # tuning.tune_baselines.s and the stage-2 call, span and sample counts
-    # wrap cli.tune_baselines and tuning.stage2_statistics
+    # wrap cli.tune_baselines and tuning.stage2_statistics; the detector and
+    # metric layers wrap cli.cnn_detect, cli.BASELINE_DETECTORS,
+    # cli.one_vs_all_auc and cli.confusion
     tracing = load_tracing()
     seqs = [t.sequence for t in generate_corpus(StimulusConfig(seed=4, sequence_duration_s=2.0), 8)]
     data = tmp_path / "data"
@@ -102,7 +104,7 @@ def test_compare_tunes_through_the_traced_stage2_name(tmp_path):
     model = tmp_path / "m.gznn"
     save_model(net.init_params(0), model)
     part, _ = features.split_recordings(seqs, features.FrontendConfig(), 3)
-    n_val = int(np.sum(part == 1))
+    n_val, n_test = int(np.sum(part == 1)), int(np.sum(part == 2))
     modules = (cli, detectors, features, net, tuning)
     names = [dict(vars(m)) for m in modules]
     baselines = dict(cli.BASELINE_DETECTORS)
@@ -110,8 +112,14 @@ def test_compare_tunes_through_the_traced_stage2_name(tmp_path):
     with tracing.patched(tracer):
         code = cli.main(["compare", "--data-dir", str(data), "--model", str(model),
                          "--report-dir", str(tmp_path / "r"), "--seed", "3"])
-    assert code == 0 and n_val >= 1
+    assert code == 0 and n_val >= 1 and n_test >= 1
     assert tracer.durations("tuning.tune_baselines").size == 1
+    # compare_detectors scores through the traced names: each detector once
+    # per test recording, then one ROC and one confusion per detector
+    for layer in ("detectors.cnn_detect", *tracing.BASELINE_LAYERS.values()):
+        assert tracer.durations(layer).size == n_test, layer
+    assert tracer.durations("metrics.one_vs_all_auc").size == 5
+    assert tracer.durations("metrics.confusion").size == 5
     velocity_candidates = tuning.TuningGrids().velocity.size
     assert velocity_candidates == 20
     # tuning runs stage 2 once per validation recording at each velocity

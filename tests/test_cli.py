@@ -524,6 +524,25 @@ class TestCompare:
                 "pca_ratio_threshold", "window_len",
             ]
 
+    def test_comparison_csv_rows_are_compare_detectors_rows(self, tmp_path, tiny_config):
+        data = synth(tmp_path, tiny_config, n=8, seed=6)
+        model = tmp_path / "init.gznn"
+        save_model(init_params(0), model)  # no stored split: compare derives it from the seed
+        report = tmp_path / "cmp"
+        assert main(["compare", "--data-dir", str(data), "--model", str(model), "--report-dir", str(report),
+                     "--seed", "6"]) == 0
+        seqs = [read_gaze_csv(p) for p in sorted(data.glob("*.csv"))]
+        part, _ = split_recordings(seqs, FrontendConfig(), 6)
+        tuned, rows = cli.compare_detectors(
+            load_model(model), [s for s, k in zip(seqs, part) if k == 1], [s for s, k in zip(seqs, part) if k == 2]
+        )
+        with open(report / "comparison.csv", newline="", encoding="utf-8") as fh:
+            written = list(csv.DictReader(fh))
+        assert written == [{k: v if k == "detector" else repr(v) for k, v in r.items()} for r in rows]
+        assert json.loads((report / "tuned_thresholds.json").read_text()) == {
+            name: vars(c) for name, c in tuned.items()
+        }
+
     def test_compare_deterministic(self, tmp_path, tiny_config):
         data = synth(tmp_path, tiny_config, n=8, seed=6)
         model = tmp_path / "model.gznn"
@@ -955,14 +974,14 @@ class TestDataErrorsNameTheRecording:
         data, name = self.corpus(tmp_path, tiny_config, part)
         model = tmp_path / "m.gznn"
         code = self.run(capsys, "train", "--data-dir", str(data), "--out", str(model), "--config", tiny_config)
-        if part > 0:  # train reads no test window and does not check the validation scores
+        if part == 2:  # train reads no test window
             assert code == 0 and capsys.readouterr().err == ""
             code = self.run(capsys, "compare", "--data-dir", str(data), "--model", str(model),
                             "--report-dir", str(tmp_path / "r"), "--config", tiny_config)
         assert code == 3
         line = one_error_line(capsys)
         assert line.count(name) == 1 and line.startswith("data error: ")
-        assert not (tmp_path / "r").exists()
+        assert model.exists() == (part == 2) and not (tmp_path / "r").exists()
 
 
 @pytest.fixture()
@@ -980,6 +999,33 @@ def one_error_line(capsys) -> str:
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
     return err[0]
+
+
+def test_eval_ivt_mean_leaves_out_its_zero_pursuit_channel(untrained, tmp_path, capsys):
+    data, _, _ = untrained
+    seq_file, preds_file, report_dir = data / "seq-0000.csv", tmp_path / "ivt.csv", tmp_path / "r"
+    assert main(["detect", "--baseline", "ivt", "--in", str(seq_file), "--out", str(preds_file)]) == 0
+    capsys.readouterr()
+    assert main(["eval", "--preds", str(preds_file), "--truth", str(seq_file), "--report-dir", str(report_dir)]) == 0
+    auc = json.loads((report_dir / "summary.json").read_text())["auc"]
+    mean = float(np.mean([auc["fixation"], auc["saccade"]]))
+    assert auc["pursuit"] == 0.5 and auc["mean"] == mean  # the pursuit curve is still reported
+    assert capsys.readouterr().out.splitlines()[-1].startswith(f"mean_auc={mean!r} ")
+
+
+def test_eval_of_an_output_that_ranks_no_class_is_one_error_line(untrained, tmp_path, capsys):
+    # the predictions reader does not check that a triple sums to one
+    data, _, _ = untrained
+    seq_file, preds_file = data / "seq-0000.csv", tmp_path / "zeros.csv"
+    n = len(read_gaze_csv(seq_file))
+    from gazeflow.gaze_io import write_predictions_csv
+
+    write_predictions_csv(DetectorOutput(n, np.arange(n), np.zeros((n, 3))), preds_file)
+    capsys.readouterr()
+    code = main(["eval", "--preds", str(preds_file), "--truth", str(seq_file), "--report-dir", str(tmp_path / "r")])
+    assert code == 3
+    assert one_error_line(capsys) == "data error: every score column is zero: the output ranks no class"
+    assert not (tmp_path / "r").exists()
 
 
 def test_out_of_memory_is_one_error_line(untrained, tmp_path, capsys):

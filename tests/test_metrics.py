@@ -248,6 +248,36 @@ class TestOneVsAll:
         with pytest.raises(EvalError, match="pursuit"):
             one_vs_all_auc(out, truth)
 
+    @staticmethod
+    def two_channel_output(pursuit_zero):
+        """Fixation and saccade scores with areas away from 1/2, and a pursuit column of zeros."""
+        rng = np.random.default_rng(7)
+        truth = rng.integers(0, 3, 200)
+        scores = rng.random((200, 3)) + np.eye(3)[truth]
+        scores[:, 2] = pursuit_zero
+        return DetectorOutput(200, np.arange(200), scores), truth
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0], ids=["zero", "negative_zero"])
+    def test_zero_column_left_out_of_the_mean(self, zero):
+        out, truth = self.two_channel_output(zero)
+        res = one_vs_all_auc(out, truth)
+        assert res.ranked == (True, True, False)
+        assert res.curves[2].auc == 0.5 and res.curves[2].fpr.tolist() == [0.0, 1.0]  # still returned
+        fix, sac = res.curves[0].auc, res.curves[1].auc
+        assert res.mean_auc == float(np.mean([fix, sac])) and res.mean_auc != float(np.mean(res.aucs))
+
+    def test_one_nonzero_score_ranks_the_class(self):
+        out, truth = self.two_channel_output(0.0)
+        scores = out.scores.copy()
+        scores[0, 2] = 1e-300
+        res = one_vs_all_auc(DetectorOutput(200, out.sample_idx, scores), truth)
+        assert res.ranked == (True, True, True) and res.mean_auc == float(res.aucs.mean())
+
+    def test_no_ranked_class_is_an_error(self):
+        truth = np.array([0, 1, 2, 0, 1, 2])
+        with pytest.raises(EvalError, match="ranks no class"):
+            one_vs_all_auc(DetectorOutput(6, np.arange(6), np.zeros((6, 3))), truth)
+
 
 class TestEventMajority:
     def test_strict_majority_win(self):
